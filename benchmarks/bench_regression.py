@@ -232,7 +232,6 @@ _INPROCESS_KEYS = (
     "equivalent_literals",
     "subsumed_clauses",
     "strengthened_clauses",
-    "eliminated_vars",
 )
 
 
@@ -488,7 +487,7 @@ def bench_encode(tiny: bool) -> dict:
     """Bulk vs per-clause clause loading on the queko encode clause set.
 
     Captures the exact clause stream a QUEKO encode emits (grid 2x3 circuit
-    on a 6-qubit line, horizon 10, simplify off), then loads it into fresh
+    on a 6-qubit line, horizon 10), then loads it into fresh
     solvers two ways: one :meth:`Solver.add_clause` call per clause (the
     pre-PR10 path) vs a single :meth:`Solver.add_clauses_bulk` call (one
     arena bulk alloc + one native attach per run of non-unit clauses, with
@@ -503,7 +502,7 @@ def bench_encode(tiny: bool) -> dict:
     source = grid(2, 3)
     target = linear(6)
     inst = queko_circuit(source, depth=4, n_gates=12, seed=1)
-    cfg = SynthesisConfig(simplify="off")
+    cfg = SynthesisConfig()
     capture_solver = Solver(kernel="python")
     captured = []
     orig_add = Solver.add_clause
@@ -605,9 +604,9 @@ def bench_queko_synthesis(tiny: bool) -> dict:
             conflicts += event.attrs.get("d_conflicts", 0)
             props += event.attrs.get("d_propagations", 0)
         if solves:
-            # The last solve event carries the solver's cumulative counters,
-            # which include the encode-time simplify pass (it runs outside
-            # any solve() call, so per-call deltas alone would miss it).
+            # The last solve event carries the solver's cumulative counters
+            # (explicit simplify() passes run outside any solve() call, so
+            # per-call deltas alone would miss them).
             last = solves[-1].attrs
             for key in _INPROCESS_KEYS:
                 inprocess[key] += last.get(key, 0)

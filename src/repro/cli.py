@@ -20,8 +20,6 @@ from .arch import devices
 from .circuit.qasm import load_qasm
 from .core.config import (
     BULK_MODES,
-    SIMPLIFY_INPROCESS,
-    SIMPLIFY_MODES,
     SUBARCH_MODES,
     SUBARCH_OFF,
     TEMPLATE_MODES,
@@ -54,15 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     comp.add_argument("--swap-duration", type=int, default=3)
     comp.add_argument("--time-budget", type=float, default=600.0)
-    comp.add_argument(
-        "--simplify",
-        choices=SIMPLIFY_MODES,
-        default=SIMPLIFY_INPROCESS,
-        help="formula simplification: 'off', 'inprocess' (restart-time "
-        "vivification/probing/subsumption plus an encode-time pass; the "
-        "default), or 'full' (additionally eliminates auxiliary variables "
-        "at encode time)",
-    )
     comp.add_argument(
         "--kernel",
         choices=("auto", "python", "native"),
@@ -326,7 +315,6 @@ def _cmd_compile(args) -> int:
                 PortfolioEntry(
                     f"{base[i % len(base)].name}#{i}",
                     base[i % len(base)].config.replace(
-                        simplify=args.simplify,
                         kernel=args.kernel,
                         subarch=args.subarch,
                         encode_bulk=args.encode_bulk,
@@ -356,7 +344,6 @@ def _cmd_compile(args) -> int:
                 solve_time_budget=args.time_budget / 2,
                 tracer=tracer,
                 certify=args.certify,
-                simplify=args.simplify,
                 kernel=args.kernel,
                 subarch=args.subarch,
                 encode_bulk=args.encode_bulk,

@@ -36,11 +36,6 @@ SUBARCH_MODES = (SUBARCH_OFF, SUBARCH_AUTO, SUBARCH_ON)
 #: Default candidate-region count for the sequential subarch driver.
 DEFAULT_SUBARCH_CANDIDATES = 4
 
-SIMPLIFY_OFF = "off"
-SIMPLIFY_INPROCESS = "inprocess"
-SIMPLIFY_FULL = "full"
-SIMPLIFY_MODES = (SIMPLIFY_OFF, SIMPLIFY_INPROCESS, SIMPLIFY_FULL)
-
 #: Runtime sanitizer modes (mirrors repro.analysis.sanitize.SANITIZE_MODES,
 #: spelled out here so validating a config never imports the analysis
 #: package).  ``None`` defers to the REPRO_SANITIZE environment variable.
@@ -133,12 +128,6 @@ class SynthesisConfig:
     # worker.
     subarch_candidates: int = DEFAULT_SUBARCH_CANDIDATES
     certify: bool = False  # re-prove the final UNSAT bound with a checked RUP proof
-    # Formula simplification (repro.sat.inprocess): "off" disables it,
-    # "inprocess" (default) runs restart-time vivification / probing /
-    # subsumption plus a bounded encode-time pass, "full" additionally
-    # runs bounded variable elimination over the thawed auxiliary
-    # variables at encode time.
-    simplify: str = SIMPLIFY_INPROCESS
     # SAT-solver backend (repro.sat.kernel): "python" forces the pure
     # interpreter loops, "native" requires the compiled kernel, "auto"
     # (default) uses the kernel when built, honouring the REPRO_KERNEL
@@ -181,7 +170,6 @@ class SynthesisConfig:
         _choice("cardinality method", self.cardinality, CARDINALITY_METHODS)
         _choice("warm-start source", self.warm_start, WARM_START_SOURCES)
         _choice("subarch mode", self.subarch, SUBARCH_MODES)
-        _choice("simplify mode", self.simplify, SIMPLIFY_MODES)
         _choice("sanitize mode", self.sanitize, SANITIZE_MODES)
         _choice("encode_bulk mode", self.encode_bulk, BULK_MODES)
         _choice("templates mode", self.templates, TEMPLATE_MODES)

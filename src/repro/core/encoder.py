@@ -47,8 +47,6 @@ from .config import (
     CARD_ADDER,
     CARD_SEQUENTIAL,
     CARD_TOTALIZER,
-    SIMPLIFY_FULL,
-    SIMPLIFY_OFF,
     SynthesisConfig,
 )
 from .result import SwapEvent
@@ -131,11 +129,6 @@ class LayoutEncoder:
         self.base_vars = 0
         self._horizon0 = horizon
         self._share_key: Optional[tuple] = None
-        # Edge-selector auxiliary variables from the adjacency encoding
-        # (Eq. 1).  They are defined by their clauses and never read back
-        # by extract(), so they are the one variable family the encoder
-        # thaws for bounded variable elimination (config.simplify="full").
-        self._aux_selectors: List[int] = []
         # Operation journal: every variable-allocating call after encode(),
         # in order, so repro.analysis.certify can replay this encoder onto a
         # CNF sink and reproduce the exact variable numbering (the encoding
@@ -173,7 +166,6 @@ class LayoutEncoder:
             if not self.transition_based:
                 self._traced("swap_gate_exclusion", self._encode_swap_gate_exclusion)
             self._traced("swap_swap_exclusion", self._encode_swap_swap_exclusion)
-            self._configure_simplify()
             span.set(n_vars=self.ctx.n_vars, n_clauses=self.ctx.num_clauses)
         sink = self.ctx.sink
         if isinstance(sink, Solver):
@@ -183,47 +175,6 @@ class LayoutEncoder:
             # near-zero encode share instead of a missing one.
             sink.stats.encode_wall_sec += time.monotonic() - started
         return self
-
-    def _configure_simplify(self) -> None:
-        """Apply ``config.simplify`` to a live solver sink.
-
-        ``off`` disables restart-time inprocessing; ``inprocess`` (default)
-        keeps it on and runs one bounded subsume+vivify pass over the
-        freshly encoded formula (probing is deferred to restart-time
-        passes: failed-literal cancellations at encode time perturb the
-        saved-phase trajectory of structured encodings badly enough to
-        cost more conflicts than the derived units save); ``full`` additionally thaws the adjacency
-        edge-selector auxiliaries so bounded variable elimination may
-        resolve them away (their models are rebuilt by the solver's
-        :class:`~repro.sat.preprocess.ModelReconstructor`).  Everything
-        else — the shared ``base_vars`` prefix, activation literals, bound
-        guards — stays frozen, which keeps ``extend_horizon`` and clause
-        sharing sound.
-        """
-        sink = self.ctx.sink
-        if not isinstance(sink, Solver):
-            return
-        if sink.replaying:
-            # Snapshot restore: the encode-time pass already ran (and its
-            # effects are in the restored state); re-running it would
-            # diverge the restored solver from the one that was snapshot.
-            return
-        mode = self.config.simplify
-        sink.inprocessing = mode != SIMPLIFY_OFF
-        if mode == SIMPLIFY_OFF:
-            return
-        eliminate = mode == SIMPLIFY_FULL
-        if eliminate:
-            sink.thaw(self._aux_selectors)
-        with self.tracer.span("simplify", mode=mode) as span:
-            ok = sink.simplify(eliminate=eliminate, probe=False, vivify=True)
-            span.set(
-                ok=ok,
-                subsumed=sink.stats.subsumed_clauses,
-                strengthened=sink.stats.strengthened_clauses,
-                failed_literals=sink.stats.failed_literals,
-                eliminated=sink.stats.eliminated_vars,
-            )
 
     def _traced(self, family: str, build) -> None:
         """Run one constraint-family builder under a span that records the
@@ -369,7 +320,6 @@ class LayoutEncoder:
                 for a, b in edges:
                     s = ctx.new_bool()
                     selectors.append(s)
-                    self._aux_selectors.append(s >> 1)
                     ctx.add([neg(s), self.pi[q][t].eq_lit(a), self.pi[q][t].eq_lit(b)])
                     ctx.add(
                         [
@@ -509,9 +459,6 @@ class LayoutEncoder:
                 self._extend_to(new_horizon)
             span.set(vars=self.ctx.n_vars - v0, clauses=self.ctx.num_clauses - c0)
         self.journal.append(("extend", new_horizon))
-        # The new steps' clauses have never been simplified; re-run the
-        # bounded encode-time pass over the grown formula.
-        self._configure_simplify()
         if isinstance(sink, Solver):
             sink.stats.encode_wall_sec += time.monotonic() - started
         return True
@@ -564,7 +511,6 @@ class LayoutEncoder:
                 for a, b in edges:
                     sel = ctx.new_bool()
                     selectors.append(sel)
-                    self._aux_selectors.append(sel >> 1)
                     ctx.add([neg(sel), self.pi[q][t].eq_lit(a), self.pi[q][t].eq_lit(b)])
                     ctx.add(
                         [

@@ -25,8 +25,8 @@ the workers cooperate along two channels:
 
 Workers are processes (the CDCL loop holds the GIL); the coordinator
 keeps a command queue per worker and one shared result queue.  A worker
-solves in short slices and re-checks its command queue between slices,
-so retargeting latency is bounded by ``slice_budget`` seconds.
+polls its command queue at every solver restart, so a retarget or a stop
+takes effect within one restart interval, not at the end of a slice.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ def _descent_worker(
 ) -> None:
     """Probe server: answer bounded feasibility questions until told to stop.
 
-    Each probe is solved in ``slice_budget``-second slices; between slices
-    the worker exchanges clauses with the bus and drains its command queue
-    so the coordinator can retarget it (keeping only the newest command).
+    Each probe is solved in ``slice_budget``-second slices, exchanging
+    clauses in between; a command reaching a busy worker (a retarget or a
+    stop) ends the slice at the next restart, and the newest one wins.
 
     ``region`` (with ``full_device``) marks a *subarchitecture worker*: it
     encodes only the ``region`` qubits of the full device and translates
@@ -152,6 +152,10 @@ def _descent_worker(
                 guard = encoder.swap_guard(swap_bound)
                 if guard is not None:
                     assumptions.append(guard)
+            sink = encoder.ctx.sink
+            if isinstance(sink, Solver):
+                # A command reaching a busy worker supersedes its probe.
+                sink.interrupt = lambda: not cmd_q.empty()
             cmd = None
             while cmd is None:
                 budget = min(slice_budget, deadline - time.monotonic())
@@ -163,7 +167,6 @@ def _descent_worker(
                     cmd = cmd_q.get()
                     break
                 status = encoder.solve(assumptions=assumptions, time_budget=budget)
-                sink = encoder.ctx.sink
                 if isinstance(sink, Solver):
                     sink.share_sync()
                 if status is SatResult.SAT:
@@ -195,7 +198,7 @@ def _descent_worker(
                     )
                     cmd = cmd_q.get()
                 else:
-                    # Slice expired: adopt the newest retarget, if any.
+                    # Slice over or interrupted: adopt the newest command.
                     try:
                         while True:
                             cmd = cmd_q.get_nowait()
@@ -205,6 +208,16 @@ def _descent_worker(
                    _worker_stats(synth)))
     except Exception as exc:  # pragma: no cover - surfaced to coordinator
         res_q.put(("error", wid, f"{type(exc).__name__}: {exc}"))
+
+
+def _probe_order(lo: int, hi: int, k: int) -> List[int]:
+    """The bounds of ``[lo, hi]`` in the order ``k`` workers take them: the
+    descend bound ``hi``, the points bisecting the rest, then the others
+    from the top, each once, so no two workers prefer the same bound."""
+    width, k = hi - lo, max(1, k)
+    return list(dict.fromkeys(
+        [hi - (j * width) // k for j in range(k)] + list(range(hi, lo - 1, -1))
+    ))
 
 
 class _WorkerPool:
@@ -282,7 +295,7 @@ class ParallelDescent:
         relay-thread queue bus; ``"auto"`` (default) — the ring, falling
         back to queues if shared memory is unavailable on the platform.
     slice_budget:
-        Seconds per solver slice; bounds the retargeting latency.
+        Seconds per solver slice; retargets and stops do not wait for it.
     certify:
         Attach a machine-checkable optimality certificate to the result.
         Workers' UNSAT verdicts may rest on *imported* learnt clauses that
@@ -948,18 +961,13 @@ class ParallelDescent:
             if hi < lo:
                 return None
             taken = pool.taken_bounds(phase, depth_bound)
-            k = max(1, len(pool.alive))
-            width = hi - lo
-            # Quantile split of the open interval: worker 0 probes the
-            # classic descend bound ub-1, the rest bisect what remains.
-            for j in range(k):
-                b = hi - (j * width) // k
-                if b >= lo and b not in taken:
-                    return b
-            for b in range(hi, lo - 1, -1):
-                if b not in taken:
-                    return b
-            return None
+            alive = sorted(pool.alive)
+            order = _probe_order(lo, hi, len(alive))
+            # The j-th live worker tries the j-th bound first, so who probes
+            # what does not hang on the order verdicts arrive in.
+            rank = alive.index(wid) if wid in alive else 0
+            mine = order[rank:rank + 1]
+            return next((b for b in mine + order if b not in taken), None)
 
         while True:
             if ub is not None and lb >= ub:

@@ -12,7 +12,7 @@ more, or equal shapes stop sharing:
 * the device's edge list **in order** (``sigma`` columns follow it);
 * the horizon, the transition-based flag and any pinned initial mapping;
 * the encode-relevant config slice: variable ``encoding``, ``injectivity``
-  method, ``swap_duration`` and ``simplify`` mode.
+  method and ``swap_duration``.
 
 Deliberately excluded: ``kernel`` (snapshots restore across backends),
 ``encode_bulk`` (byte-identical by construction), ``cardinality`` and the
@@ -36,7 +36,6 @@ def encode_config_slice(config: SynthesisConfig) -> Tuple:
         config.encoding,
         config.injectivity,
         config.swap_duration,
-        config.simplify,
     )
 
 

@@ -29,8 +29,8 @@ from ..telemetry.summary import coerce_records
 from .tables import format_table
 
 #: Span names whose *total* time counts as formula construction.  They
-#: wrap the per-family ``encode.*`` and ``simplify`` sub-spans, so using
-#: their outer durations avoids double counting.
+#: wrap the per-family ``encode.*`` sub-spans, so using their outer
+#: durations avoids double counting.
 ENCODE_SPANS = frozenset({"encode", "extend"})
 
 #: Span names whose total time counts as SAT search.

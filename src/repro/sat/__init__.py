@@ -32,6 +32,7 @@ from .sharing import (
     key_hash,
 )
 from .snapshot import (
+    SnapshotCorrupt,
     SnapshotUnsupported,
     TemplateStore,
     restore_solver,
@@ -72,6 +73,7 @@ __all__ = [
     "ShmShareEndpoint",
     "clause_signature",
     "key_hash",
+    "SnapshotCorrupt",
     "SnapshotUnsupported",
     "TemplateStore",
     "restore_solver",

@@ -1,10 +1,11 @@
-"""Inprocessing: solver-side simplification at restart safe points.
+"""Inprocessing: explicit solver-side simplification at level 0.
 
 One-shot preprocessing (:mod:`repro.sat.preprocess`) only ever sees the
-input formula; modern CDCL solvers get their biggest wins from repeating
-the same simplifications *during* search, where learnt clauses and
-level-0 units expose far more redundancy.  This module implements that
-engine for :class:`repro.sat.solver.Solver`:
+input formula; this engine simplifies a live :class:`repro.sat.solver.Solver`
+database, learnt clauses and level-0 units included.  It runs only when a
+caller asks for it through :meth:`Solver.simplify` — search itself is plain
+CDCL, because on the layout-synthesis formulas the passes cost more wall
+time than the conflicts they save (see docs/PERFORMANCE.md, section 7):
 
 * **top-level cleaning** — clauses satisfied by a level-0 unit are
   deleted, falsified literals are stripped;
@@ -17,18 +18,15 @@ engine for :class:`repro.sat.solver.Solver`:
   SCCs of the binary graph; every literal of a cycle is rewritten to one
   representative);
 * **subsumption / self-subsuming resolution**, reusing the Bloom-style
-  clause signatures from :func:`repro.sat.preprocess._signature`;
-* bounded **variable elimination** (startup only, thawed variables only).
+  clause signatures from :func:`repro.sat.preprocess._signature`.
 
-Safety contract — the engine runs only at the solver's level-0 safe
-points (the same points clause import uses: restarts with assumptions
-undone), so everything it derives is an assumption-free consequence of
-the formula:
+Safety contract — a pass runs only at decision level 0 with no
+assumptions established, so everything it derives is an
+assumption-free consequence of the formula:
 
-* *incrementality*: strengthened clauses are logical consequences, so
-  ``extend_horizon`` and clause sharing stay sound; elimination touches
-  only explicitly thawed variables, never assumption literals, StepVar
-  activation guards or the shared variable prefix;
+* *incrementality*: strengthened clauses are logical consequences and no
+  variable is ever removed, so ``extend_horizon``, assumption literals
+  and clause sharing stay sound;
 * *proofs*: every strengthening emits the new clause as a RUP addition
   **before** deleting the old one (the old clause participates in the new
   one's unit-propagation check), so the solver's DRAT-style log stays
@@ -46,16 +44,16 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, List, Optional, Sequence, Set
 
-from .preprocess import ModelReconstructor, _signature
+from .preprocess import _signature
 from .solver import BIN_BASE, NO_CLAUSE, Solver
 
 
 class Inprocessor:
     """Bounded inprocessing over a :class:`Solver`'s clause database.
 
-    Constructed lazily by the solver on first use; holds only cursors so
-    successive passes rotate through different probe roots and
-    vivification candidates.
+    Constructed by the solver on its first :meth:`Solver.simplify` call;
+    holds only cursors so successive passes rotate through different probe
+    roots and vivification candidates.
     """
 
     #: Maximum hyper-binary resolvents added per pass.
@@ -65,8 +63,6 @@ class Inprocessor:
     VIVIFY_IRR_MAX = 50
     #: Minimum size for an irredundant clause to be worth vivifying.
     VIVIFY_IRR_MIN_SIZE = 4
-    #: Per-variable occurrence cap for bounded elimination.
-    ELIM_MAX_OCC = 10
 
     def __init__(self, solver: Solver) -> None:
         self.solver = solver
@@ -84,7 +80,6 @@ class Inprocessor:
         subsume: bool = True,
         probe: bool = True,
         vivify: bool = True,
-        eliminate: bool = False,
         budget: int = 20_000,
     ) -> None:
         """One bounded pass.  Must be called at decision level 0.
@@ -104,8 +99,6 @@ class Inprocessor:
             self._subsume(4 * budget)
         if s.ok and vivify:
             self._vivify(budget)
-        if s.ok and eliminate:
-            self._eliminate()
         self._finish()
 
     # ------------------------------------------------------------------
@@ -666,87 +659,3 @@ class Inprocessor:
             self._vivify_one(cref)
             if not s.ok:
                 return
-
-    # ------------------------------------------------------------------
-    # Phase: bounded variable elimination (startup only)
-    # ------------------------------------------------------------------
-
-    def _eliminate(self) -> None:
-        """SatELite-style bounded elimination of *thawed* variables.
-
-        Runs only while no learnt clauses exist (i.e. right after
-        encoding): learnt clauses may mention candidate variables, and
-        rewriting them is not worth the bookkeeping.  Models are extended
-        over eliminated variables via the solver's reconstructor.
-        """
-        s = self.solver
-        if s.learnts_core or s.learnts_tier2 or s.learnts_local:
-            return
-        arena = s.arena
-        assigns = s.assigns_lit
-        candidates = sorted(
-            v
-            for v in s._thawed
-            if v not in s._eliminated and assigns[v << 1] < 0
-        )
-        if not candidates:
-            return
-        occ: Dict[int, List[int]] = defaultdict(list)
-        for cref in s.clauses:
-            if arena.size[cref] < 0:
-                continue
-            for lit in arena.literals(cref):
-                occ[lit].append(cref)
-        proof = s.proof
-        for var in candidates:
-            pos = [c for c in occ[2 * var] if arena.size[c] >= 0]
-            negs = [c for c in occ[2 * var + 1] if arena.size[c] >= 0]
-            if not pos and not negs:
-                continue
-            if len(pos) > self.ELIM_MAX_OCC or len(negs) > self.ELIM_MAX_OCC:
-                continue
-            pos_lits = [arena.literals(c) for c in pos]
-            neg_lits = [arena.literals(c) for c in negs]
-            resolvents: List[List[int]] = []
-            for cp in pos_lits:
-                for cn in neg_lits:
-                    merged = {lit for lit in cp if lit >> 1 != var}
-                    merged.update(lit for lit in cn if lit >> 1 != var)
-                    if any((lit ^ 1) in merged for lit in merged):
-                        continue  # tautology
-                    resolvents.append(sorted(merged))
-            if len(resolvents) > len(pos) + len(negs):
-                continue  # would grow the formula
-            # Commit: resolvent additions first (their RUP checks resolve
-            # against the originals), then delete every occurrence.
-            if s._recon is None:
-                s._recon = ModelReconstructor()
-            s._recon.record_elimination(var, pos_lits)
-            if proof is not None:
-                for res in resolvents:
-                    proof.append(("a", tuple(res)))
-            for cref, lits_c in zip(pos + negs, pos_lits + neg_lits):
-                if proof is not None:
-                    proof.append(("d", tuple(lits_c)))
-                if arena.size[cref] <= 3:
-                    s._detach_small(cref)
-                arena.free(cref)
-            for res in resolvents:
-                if not res:
-                    s.ok = False
-                    if proof is not None:
-                        proof.append(("a", ()))
-                    return
-                if len(res) == 1:
-                    self._enqueue_unit(res[0])
-                    if not s.ok:
-                        return
-                    continue
-                ncref = arena.alloc(res)
-                s._attach(ncref)
-                s.clauses.append(ncref)
-                for lit in res:
-                    occ[lit].append(ncref)
-            s._eliminated.add(var)
-            s._thawed.discard(var)
-            s.stats.eliminated_vars += 1

@@ -24,22 +24,40 @@ from a native-kernel solver restores into a pure-Python one and vice
 versa.  Snapshots refuse proof-logging solvers (the proof list is an
 append-only derivation history that must start at the clause additions;
 cloning mid-history would forge it) and anything not at decision level 0.
+
+The bytes are a framed pickle: :data:`SNAPSHOT_MAGIC`, the format number,
+the payload length and a ``zlib.crc32`` of the payload, then the payload.
+:func:`read_snapshot` checks the frame before unpickling, so truncated,
+corrupted or stale bytes raise a named error before any solver is built.
 """
 
 from __future__ import annotations
 
 import pickle
+import struct
 import threading
-from typing import Any, Dict, Optional, Tuple
+import zlib
+from typing import Any, Dict, Optional
 
 from .solver import Solver, SolverStats
 
 #: Bump when the blob layout changes; restore rejects other versions.
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
+
+#: First bytes of every framed snapshot.
+SNAPSHOT_MAGIC = b"RSNP"
+
+#: Frame header: magic, format, payload length, crc32 of the payload.
+_HEADER = struct.Struct("<4sHQI")
 
 
 class SnapshotUnsupported(RuntimeError):
-    """The solver's current state cannot be snapshot (see message)."""
+    """The solver's current state cannot be snapshot, or the bytes are not
+    a snapshot this version can restore (see message)."""
+
+
+class SnapshotCorrupt(SnapshotUnsupported):
+    """The bytes carry a snapshot frame but fail its length or checksum."""
 
 
 def _nary_lists(solver: Solver) -> list:
@@ -69,10 +87,8 @@ def snapshot_solver(solver: Solver) -> bytes:
     if solver._replay_cursor is not None:
         raise SnapshotUnsupported("cannot snapshot during encode replay")
     arena = solver.arena
-    recon = solver._recon
     inproc = solver.inprocessor
     state: Dict[str, Any] = {
-        "format": SNAPSHOT_FORMAT,
         "n_vars": solver.n_vars,
         # -- formula storage -------------------------------------------
         "arena": {
@@ -119,21 +135,11 @@ def snapshot_solver(solver: Solver) -> bytes:
         "max_learnts": solver.max_learnts,
         "model": list(solver.model),
         "core": list(solver.core),
-        "inprocessing": solver.inprocessing,
-        "next_inprocess": solver._next_inprocess,
-        "last_inprocess": solver._last_inprocess,
         "last_reduce_conflicts": solver._last_reduce_conflicts,
+        # Cursors of the explicit simplify() engine, if it ever ran.
         "inproc_cursors": (
             (inproc._probe_cursor, inproc._vivify_cursor)
             if inproc is not None
-            else None
-        ),
-        # -- simplification bookkeeping ----------------------------------
-        "thawed": sorted(solver._thawed),
-        "eliminated": sorted(solver._eliminated),
-        "recon": (
-            {"stack": list(recon._stack), "fixed": dict(recon.fixed)}
-            if recon is not None
             else None
         ),
         # -- stats (lbd_counts included; wall clocks are zeroed on
@@ -144,7 +150,43 @@ def snapshot_solver(solver: Solver) -> bytes:
             if name != "kernel"
         },
     }
-    return pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    payload = pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)
+    header = _HEADER.pack(
+        SNAPSHOT_MAGIC, SNAPSHOT_FORMAT, len(payload), zlib.crc32(payload)
+    )
+    return header + payload
+
+
+def read_snapshot(blob: bytes) -> Dict[str, Any]:
+    """Check a snapshot's frame and return its unpickled state dict.
+
+    Raises :class:`SnapshotUnsupported` for bytes that are not a
+    current-format snapshot (no magic — format-1 snapshots were bare
+    pickles — or another format number), and :class:`SnapshotCorrupt`
+    for a frame whose payload is truncated or fails its checksum.
+    """
+    if blob[:4] != SNAPSHOT_MAGIC:
+        raise SnapshotUnsupported(
+            f"not a format-{SNAPSHOT_FORMAT} solver snapshot: missing the "
+            f"{SNAPSHOT_MAGIC!r} header (format-1 snapshots were unframed)"
+        )
+    if len(blob) < _HEADER.size:
+        raise SnapshotCorrupt(
+            f"snapshot header truncated to {len(blob)} of {_HEADER.size} bytes"
+        )
+    _magic, fmt, length, crc = _HEADER.unpack_from(blob)
+    if fmt != SNAPSHOT_FORMAT:
+        raise SnapshotUnsupported(f"snapshot format {fmt} != {SNAPSHOT_FORMAT}")
+    payload = memoryview(blob)[_HEADER.size :]
+    if len(payload) != length:
+        raise SnapshotCorrupt(
+            f"snapshot payload is {len(payload)} bytes, header says {length} "
+            "(truncated or padded)"
+        )
+    if zlib.crc32(payload) != crc:
+        raise SnapshotCorrupt("snapshot payload fails its crc32 checksum")
+    state: Dict[str, Any] = pickle.loads(payload)
+    return state
 
 
 def restore_solver(
@@ -161,11 +203,7 @@ def restore_solver(
     (``_k_nvars``/``_k_aver`` are fresh-constructed at -1) and are synced
     exactly once, after every buffer has reached its final address.
     """
-    state = pickle.loads(blob)
-    if state.get("format") != SNAPSHOT_FORMAT:
-        raise SnapshotUnsupported(
-            f"snapshot format {state.get('format')!r} != {SNAPSHOT_FORMAT}"
-        )
+    state = read_snapshot(blob)
     s = Solver(kernel=kernel, sanitize=sanitize)
     n_vars = state["n_vars"]
     s.n_vars = n_vars
@@ -225,25 +263,12 @@ def restore_solver(
     s.max_learnts = state["max_learnts"]
     s.model = list(state["model"])
     s.core = list(state["core"])
-    s.inprocessing = state["inprocessing"]
-    s._next_inprocess = state["next_inprocess"]
-    s._last_inprocess = state["last_inprocess"]
     s._last_reduce_conflicts = state["last_reduce_conflicts"]
     if state["inproc_cursors"] is not None:
-        inproc = s._get_inprocessor()
-        inproc._probe_cursor, inproc._vivify_cursor = state["inproc_cursors"]
-    s._thawed = set(state["thawed"])
-    s._eliminated = set(state["eliminated"])
-    if state["recon"] is not None:
-        from .preprocess import ModelReconstructor
+        from .inprocess import Inprocessor
 
-        recon = ModelReconstructor()
-        recon._stack = [
-            (var, [list(c) for c in clauses])
-            for var, clauses in state["recon"]["stack"]
-        ]
-        recon.fixed = dict(state["recon"]["fixed"])
-        s._recon = recon
+        inproc = s.inprocessor = Inprocessor(s)
+        inproc._probe_cursor, inproc._vivify_cursor = state["inproc_cursors"]
 
     stats = state["stats"]
     for name, value in stats.items():

@@ -16,11 +16,12 @@ MiniSat lineage:
 * a three-tier learnt-clause database (core / tier2 / local, by LBD) with
   O(1) lazy deletion, usage-driven promotion/demotion and periodic arena
   compaction,
-* restart-time inprocessing (:mod:`repro.sat.inprocess`): clause
-  vivification, failed-literal probing with hyper-binary resolution and
-  equivalent-literal substitution, and subsumption — all at the level-0
-  safe points also used for clause sharing, all emitting RUP proof lines,
 * incremental solving under assumptions with failed-assumption cores.
+
+Search is plain CDCL: no pass rewrites the clause database behind the
+caller's back.  :meth:`Solver.simplify` runs one explicit, bounded
+:mod:`repro.sat.inprocess` pass (vivification, probing, subsumption)
+between :meth:`Solver.solve` calls for callers that ask for it.
 
 Incrementality matters: the paper's iterative depth/SWAP refinement re-solves
 a sequence of near-identical models and relies on the solver reusing learned
@@ -48,6 +49,7 @@ from array import array
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Iterable,
     List,
     Optional,
@@ -57,7 +59,6 @@ from typing import (
 )
 
 from .arena import ClauseArena, FloatBuf, IntBuf
-from .preprocess import ModelReconstructor
 from .result import SatResult
 from .types import FALSE, TRUE, UNDEF, neg
 
@@ -136,7 +137,6 @@ class SolverStats:
         "equivalent_literals",
         "subsumed_clauses",
         "strengthened_clauses",
-        "eliminated_vars",
         "encode_wall_sec",
         "solve_wall_sec",
         "lbd_counts",
@@ -163,11 +163,11 @@ class SolverStats:
         self.solve_calls = 0
         self.exported_clauses = 0
         self.imported_clauses = 0
-        # Inprocessing counters (repro.sat.inprocess): passes run, clauses /
-        # literals removed by vivification, units from failed-literal
-        # probing, hyper-binary resolvents, literals merged by equivalence
-        # substitution, clauses subsumed, clauses strengthened (SSR +
-        # level-0 cleaning), variables removed by bounded elimination.
+        # Inprocessing counters (explicit simplify() passes): passes run,
+        # clauses / literals removed by vivification, units from
+        # failed-literal probing, hyper-binary resolvents, literals merged
+        # by equivalence substitution, clauses subsumed, clauses
+        # strengthened (SSR + level-0 cleaning).
         self.inprocessings = 0
         self.vivified_clauses = 0
         self.vivified_literals = 0
@@ -176,7 +176,6 @@ class SolverStats:
         self.equivalent_literals = 0
         self.subsumed_clauses = 0
         self.strengthened_clauses = 0
-        self.eliminated_vars = 0
         # Wall-clock split: seconds spent building the formula (accumulated
         # by the encoder while it owns this solver as its sink) vs seconds
         # inside solve().  Together they answer "is this workload
@@ -366,12 +365,6 @@ class Solver:
     #: Learnt clauses with LBD at or below this start in *tier2*; anything
     #: above starts in the aggressively-reduced *local* tier.
     TIER2_LBD = 6
-    #: Conflicts between restart-time inprocessing passes.  High enough
-    #: that short solves (unit tests, easy bounds) never pay for a pass.
-    INPROCESS_INTERVAL = 3000
-    #: Conflicts accumulated since the last pass before a *new* solve()
-    #: call runs one at entry (incremental queries between restarts).
-    SOLVE_INPROCESS_DELTA = 500
 
     def __init__(
         self,
@@ -446,9 +439,9 @@ class Solver:
             # add-before-delete always, RUP-at-emission in "full" mode.
             self.proof = self._sanitizer.checked_proof_log()
         # How many root-level (level-0) trail literals have been emitted
-        # into the proof as explicit unit additions.  Inprocessing logs
-        # each root unit once before deleting clauses satisfied by it, so
-        # the checker never loses a derivation the solver still relies on.
+        # into the proof as explicit unit additions.  simplify() logs each
+        # root unit once before deleting clauses satisfied by it, so the
+        # checker never loses a derivation the solver still relies on.
         self._proof_root_logged = 0
         # Optional repro.telemetry.Tracer; when set, every solve() emits a
         # "solver.solve" stats-snapshot event and restarts become both
@@ -461,6 +454,9 @@ class Solver:
         # are imported at restart boundaries (the level-0 safe points).
         # None keeps the solo-solver cost at one identity check per conflict.
         self.share = None
+        # Optional zero-argument callable polled at every restart; a true
+        # return ends solve() with UNKNOWN, as an exhausted budget does.
+        self.interrupt: Optional[Callable[[], bool]] = None
         self.n_vars = 0
         self.arena = ClauseArena(typed=native)
         self.clauses: List[int] = []  # crefs of problem clauses
@@ -522,24 +518,10 @@ class Solver:
         # Literal pair of the most recent binary-clause conflict (valid when
         # _propagate returned a tag < NO_CLAUSE).
         self._confl_lits = (0, 0)
-        # Restart-time inprocessing (repro.sat.inprocess).  Enabled by
-        # default; the engine is constructed lazily on first use.  The
-        # conflict threshold for the next pass advances by
-        # INPROCESS_INTERVAL each time one runs.
-        self.inprocessing = True
+        # The simplify() engine (repro.sat.inprocess), built on the first
+        # explicit pass; search itself never runs one.
         self.inprocessor: Optional["Inprocessor"] = None
-        self._next_inprocess = self.INPROCESS_INTERVAL
-        self._last_inprocess = 0
         self._last_reduce_conflicts = 0
-        # Variables bounded elimination may remove.  Everything is frozen
-        # unless explicitly thawed: callers (the encoder) thaw only
-        # variables they will never reference again, which is what keeps
-        # assumption literals, activation guards and the shared
-        # ``base_vars`` prefix intact across extend_horizon / sharing.
-        self._thawed: Set[int] = set()
-        self._eliminated: Set[int] = set()
-        # Witness stack extending models over eliminated variables.
-        self._recon: Optional[ModelReconstructor] = None
         # Bulk-load staging (begin_bulk/end_bulk): when set, add_clause
         # appends raw literals here and end_bulk lands everything through
         # add_clauses_bulk in emission order.
@@ -594,12 +576,34 @@ class Solver:
         """Current truth value of ``lit``: TRUE, FALSE or UNDEF."""
         return self.assigns_lit[lit]
 
+    def _check_literals(self, lits: Sequence[int], what: str) -> None:
+        """Raise ``ValueError`` unless every literal names a variable.
+
+        Literals use the ``2 * var + sign`` encoding, so the valid range is
+        ``[0, 2 * n_vars)``.  One ``min``/``max`` pass keeps the common
+        (valid) case cheap; only a failure scans for the offender.  An
+        out-of-range literal would otherwise index the per-literal buffers
+        from the end (python kernel) or out of bounds (native kernel).
+        """
+        if not lits:
+            return
+        limit = 2 * self.n_vars
+        if min(lits) >= 0 and max(lits) < limit:
+            return
+        bad = next(lit for lit in lits if not 0 <= lit < limit)
+        raise ValueError(
+            f"{what}: literal {bad} out of range [0, {limit}) for a solver "
+            f"with {self.n_vars} variables (literals are 2*var+sign, "
+            "not signed DIMACS integers)"
+        )
+
     def add_clause(self, lits: Sequence[int]) -> bool:
         """Add a clause; returns ``False`` if the formula became trivially UNSAT.
 
         Must be called at decision level 0 (i.e. between :meth:`solve` calls).
         Duplicate literals are removed, tautologies are dropped, and literals
-        already false at level 0 are stripped.
+        already false at level 0 are stripped.  Raises ``ValueError`` on a
+        literal outside ``[0, 2 * n_vars)``.
         """
         if not self.ok:
             return False
@@ -610,12 +614,13 @@ class Solver:
         staged = self._bulk_staged
         if staged is not None:
             # Bulk mode (begin_bulk/end_bulk): record the raw clause and
-            # defer everything — normalization, proof lines, storage,
-            # attachment, unit propagation — to end_bulk, which replays the
-            # staged clauses in this exact emission order.
+            # defer everything — range check, normalization, proof lines,
+            # storage, attachment, unit propagation — to end_bulk, which
+            # replays the staged clauses in this exact emission order.
             staged[0].extend(lits)
             staged[1].append(len(lits))
             return self.ok
+        self._check_literals(lits, "add_clause")
         if self._sanitizer is not None and self.proof is not None:
             # The proof discipline checker needs the original clause in its
             # shadow database *before* any "a"/"d" line can reference it.
@@ -720,9 +725,12 @@ class Solver:
         the surviving clauses land in the arena through one
         :meth:`ClauseArena.alloc_bulk` per run of non-unit clauses, and in
         native mode their watches attach through a single ``k_load_clauses``
-        call instead of one FFI round trip per clause.
+        call instead of one FFI round trip per clause.  Raises
+        ``ValueError``, before any clause lands, on a literal outside
+        ``[0, 2 * n_vars)``.
         """
         assert not self.trail_lim, "clauses may only be added at level 0"
+        self._check_literals(flat, "add_clauses_bulk")
         sanitizer = self._sanitizer
         proof = self.proof
         assigns = self.assigns_lit
@@ -1784,10 +1792,14 @@ class Solver:
         """Solve the current formula under ``assumptions``.
 
         Returns a :class:`SatResult` (``UNKNOWN`` when a budget was
-        exhausted or the tracer cancelled).  On ``SAT`` the satisfying
+        exhausted, the tracer cancelled or :attr:`interrupt` asked to
+        stop).  On ``SAT`` the satisfying
         assignment is in :attr:`model`; on ``UNSAT`` under assumptions,
-        :attr:`core` holds a subset of failed assumptions.
+        :attr:`core` holds a subset of failed assumptions.  Raises
+        ``ValueError`` on an assumption outside ``[0, 2 * n_vars)``.
         """
+        assumptions = list(assumptions)
+        self._check_literals(assumptions, "solve(assumptions=)")
         self.stats.solve_calls += 1
         self.model = []
         self.core = []
@@ -1800,25 +1812,9 @@ class Solver:
         conflict_limit = (
             self.stats.conflicts + conflict_budget if conflict_budget else None
         )
-        assumptions = list(assumptions)
-        if (
-            self.inprocessing
-            and self.stats.conflicts - self._last_inprocess
-            >= self.SOLVE_INPROCESS_DELTA
-        ):
-            # Solve entry is a level-0 safe point too.  Incremental callers
-            # accumulate learnts and level-0 units *between* queries faster
-            # than any single query reaches the restart-time interval, so
-            # a fresh query over a grown database is where vivification and
-            # subsumption pay off.  Probing is skipped here: on structured
-            # incremental encodings its trail perturbation costs more
-            # conflicts than its failed literals save.
-            self._inprocess_step(probe=False, vivify=False)
-            if not self.ok:
-                return self._finish(SatResult.UNSAT, before, started)
         if self._sanitizer is not None:
             # Solve entry is a level-0 safe point (assumptions not yet
-            # established, any entry inprocessing done).
+            # established).
             self._sanitizer.at_safe_point("solve-entry")
         restart_num = 0
         restart_budget = luby(2.0, restart_num) * self.RESTART_BASE
@@ -1879,18 +1875,9 @@ class Solver:
                     if not self.ok:
                         status = False
                         break
-                if self.inprocessing and self.stats.conflicts >= self._next_inprocess:
-                    # Inprocessing shares the clause-import safe-point
-                    # contract: level 0, assumptions undone, so every
-                    # derivation is an assumption-free formula consequence.
-                    self._inprocess_step()
-                    if not self.ok:
-                        status = False
-                        break
                 if self._sanitizer is not None:
-                    # The restart safe point: level 0, sharing exchanged,
-                    # inprocessing (and any GC it triggered) finished — the
-                    # state every invariant is specified against.
+                    # The restart safe point: level 0, sharing exchanged —
+                    # the state every invariant is specified against.
                     self._sanitizer.at_safe_point("restart")
                 if self.tracer is not None:
                     # Restarts are the solver's safe points: surface progress
@@ -1904,6 +1891,8 @@ class Solver:
                     )
                     if self.tracer.cancelled:
                         break
+                if self.interrupt is not None and self.interrupt():
+                    break
                 continue
             if (
                 len(self.learnts_local) + len(self.learnts_tier2) - self.trail_size
@@ -1948,10 +1937,6 @@ class Solver:
         if status is True:
             assigns_lit = self.assigns_lit
             self.model = [assigns_lit[v << 1] > 0 for v in range(self.n_vars)]
-            if self._recon is not None:
-                # Bounded variable elimination removed variables; replay
-                # the elimination witnesses so the model covers them.
-                self.model = self._recon.extend(self.model)[: self.n_vars]
         self._cancel_until(0)
         if self._sanitizer is not None:
             self._sanitizer.at_safe_point("solve-exit")
@@ -2094,45 +2079,8 @@ class Solver:
         return self.ok
 
     # ------------------------------------------------------------------
-    # Inprocessing (repro.sat.inprocess)
+    # Explicit simplification (repro.sat.inprocess)
     # ------------------------------------------------------------------
-
-    def _get_inprocessor(self) -> "Inprocessor":
-        if self.inprocessor is None:
-            from .inprocess import Inprocessor
-
-            self.inprocessor = Inprocessor(self)
-        return self.inprocessor
-
-    def _inprocess_step(self, probe: bool = True, vivify: bool = True) -> None:
-        """One bounded restart-time inprocessing pass (level 0 only)."""
-        before = self.stats.snapshot() if self.tracer is not None else None
-        self._get_inprocessor().run(probe=probe, vivify=vivify)
-        self.stats.inprocessings += 1
-        self._last_inprocess = self.stats.conflicts
-        self._next_inprocess = self.stats.conflicts + self.INPROCESS_INTERVAL
-        if self.tracer is not None and before is not None:
-            after = self.stats.snapshot()
-            deltas = {
-                "d_" + key: after[key] - before[key]
-                for key in (
-                    "vivified_clauses",
-                    "vivified_literals",
-                    "failed_literals",
-                    "hyper_binaries",
-                    "equivalent_literals",
-                    "subsumed_clauses",
-                    "strengthened_clauses",
-                )
-                if after[key] != before[key]
-            }
-            self.tracer.event(
-                "solver.inprocess",
-                conflicts=self.stats.conflicts,
-                learnts=self.num_learnts,
-                ok=self.ok,
-                **deltas,
-            )
 
     def simplify(
         self,
@@ -2140,49 +2088,30 @@ class Solver:
         subsume: bool = True,
         probe: bool = True,
         vivify: bool = True,
-        eliminate: bool = False,
         budget: int = 200_000,
     ) -> bool:
         """Run one bounded simplification pass between :meth:`solve` calls.
 
-        The same engine the solver invokes at restart safe points, exposed
-        for startup simplification right after encoding.  ``eliminate``
-        additionally runs bounded variable elimination over the *thawed*
-        variables (see :meth:`thaw`); it is skipped automatically once any
-        learnt clauses exist.  ``budget`` caps the pass's propagation work.
-        Returns the solver's ``ok`` flag (simplification can refute the
-        formula outright).
+        Top-level cleaning, then failed-literal probing, subsumption and
+        vivification as selected; ``budget`` caps the pass's propagation
+        work.  Every derivation is an assumption-free consequence of the
+        formula and is proof-logged add-before-delete, so incremental
+        callers and RUP certificates stay sound.  :meth:`solve` never runs
+        a pass on its own.  Returns the solver's ``ok`` flag
+        (simplification can refute the formula outright).
         """
         if not self.ok:
             return False
         assert not self.trail_lim, "simplify() only at decision level 0"
-        self._get_inprocessor().run(
-            subsume=subsume,
-            probe=probe,
-            vivify=vivify,
-            eliminate=eliminate,
-            budget=budget,
+        if self.inprocessor is None:
+            from .inprocess import Inprocessor
+
+            self.inprocessor = Inprocessor(self)
+        self.inprocessor.run(
+            subsume=subsume, probe=probe, vivify=vivify, budget=budget
         )
         self.stats.inprocessings += 1
         return self.ok
-
-    def thaw(self, variables: Iterable[int]) -> None:
-        """Mark ``variables`` as fair game for bounded variable elimination.
-
-        Everything is frozen by default, which is what keeps assumption
-        literals, activation guards and the shared variable prefix intact;
-        thaw only variables no caller will ever reference again (e.g. the
-        encoder's one-shot auxiliary selectors).
-        """
-        for var in variables:
-            if not 0 <= var < self.n_vars:
-                raise ValueError(f"cannot thaw unknown variable {var}")
-            self._thawed.add(var)
-
-    def freeze(self, variables: Iterable[int]) -> None:
-        """Re-protect previously thawed ``variables`` from elimination."""
-        for var in variables:
-            self._thawed.discard(var)
 
     # ------------------------------------------------------------------
     # Model access

@@ -180,10 +180,7 @@ class TestExtendHorizon:
             assert v_ext is v_reb, f"bound {bound}: {v_ext} != {v_reb}"
 
     def test_extension_preserves_learnt_clauses_and_stats(self):
-        # simplify="off": the default encode/extend-time inprocessing pass
-        # may subsume or vivify away redundant learnts, which is exactly
-        # the state this test pins as untouched by extension itself.
-        cfg = SynthesisConfig(swap_duration=1, simplify="off")
+        cfg = SynthesisConfig(swap_duration=1)
         enc = LayoutEncoder(_three_gate_circuit(), linear(3), horizon=3, config=cfg)
         enc.encode()
         assert enc.solve(assumptions=[enc.depth_guard(3)]) is SatResult.UNSAT

@@ -1,16 +1,18 @@
-"""Tests for restart-time inprocessing (repro.sat.inprocess).
+"""Tests for explicit inprocessing (``Solver.simplify`` / repro.sat.inprocess).
 
-Covers the PR 5 guarantees:
+Search is plain CDCL: the inprocessing engine runs only when a caller asks
+for a pass through :meth:`Solver.simplify`.  Covers:
 
-* differential equivalence — inprocessing on/off agree on verdicts and
-  (for synthesis) on optima, on random 3-SAT and QUEKO workloads;
-* freeze-set invariants — frozen variables survive ``simplify()`` passes
-  and stay usable as assumption literals across ``extend_horizon``;
-* proof integrity — refutations produced with vivification, probing and
-  elimination deletions interleaved still certify via
-  :func:`check_unsat_proof`;
-* configuration — the ``SynthesisConfig(simplify=...)`` knob validates
-  its choices and reaches the solver sink.
+* differential equivalence — interleaving explicit passes with budgeted
+  ``solve()`` calls never changes a verdict, a model's validity or a
+  synthesis optimum, on random 3-SAT and QUEKO workloads;
+* freeze-set invariants — no pass removes a variable, so every variable
+  stays usable as an assumption literal, across ``extend_horizon`` too;
+* proof integrity — refutations with pass deletions interleaved still
+  certify via :func:`check_unsat_proof`, and so does the swap-optimal
+  certified synthesis that pins ``_reduce_db``'s locked-reason handling;
+* configuration — encoder-built solvers never run a pass, and the pass
+  counters are exposed.
 """
 
 from __future__ import annotations
@@ -21,8 +23,10 @@ import pytest
 
 from repro.arch import grid, linear
 from repro.core import SynthesisConfig
-from repro.core.config import SIMPLIFY_MODES
+from repro.core.encoder import LayoutEncoder
 from repro.core.optimizer import IterativeSynthesizer
+from repro.core.result import SynthesisResult
+from repro.core.validator import validate_result
 from repro.sat import (
     CNF,
     SatResult,
@@ -30,6 +34,7 @@ from repro.sat import (
     check_unsat_proof,
     mk_lit,
 )
+from repro.sat.snapshot import TemplateStore
 from repro.workloads.qaoa import qaoa_circuit
 from repro.workloads.queko import queko_circuit
 
@@ -44,30 +49,48 @@ def _random_3sat(n_vars: int, n_clauses: int, seed: int) -> CNF:
     return cnf
 
 
-def _solver_for(cnf: CNF, inprocessing: bool, **kwargs) -> Solver:
+def _solver_for(cnf: CNF, **kwargs) -> Solver:
     s = Solver(**kwargs)
     cnf.to_solver(s)
-    s.inprocessing = inprocessing
-    if inprocessing:
-        # Fire the first restart-time pass almost immediately and run the
-        # solve-entry pass unconditionally, so even small instances
-        # actually exercise the engine.
-        s._next_inprocess = 10
-        s.SOLVE_INPROCESS_DELTA = 0
     return s
 
 
+def _solve_with_passes(s: Solver, budget: int = 30) -> SatResult:
+    """Alternate explicit passes with budgeted searches until a verdict.
+
+    The short budget puts a pass between every few dozen conflicts, so even
+    small instances run many passes over a database full of learnts.
+    """
+    while True:
+        s.simplify()
+        verdict = s.solve(conflict_budget=budget)
+        if verdict is not SatResult.UNKNOWN:
+            return verdict
+
+
+def _queko(seed: int):
+    return queko_circuit(grid(2, 3), depth=4, n_gates=12, seed=seed)
+
+
+def _proven_depth(circuit, device, cfg) -> int:
+    """The plain-CDCL optimizer's proven optimal depth."""
+    result = IterativeSynthesizer(circuit, device, cfg).optimize_depth()
+    assert result.optimal
+    return result.depth
+
+
 class TestDifferential:
-    """Inprocessing must never change a verdict or break a model."""
+    """Explicit passes must never change a verdict or break a model."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_3sat_verdicts_agree(self, seed):
         cnf = _random_3sat(60, 255, seed)
-        plain = _solver_for(cnf, inprocessing=False)
-        fancy = _solver_for(cnf, inprocessing=True)
+        plain = _solver_for(cnf)
+        fancy = _solver_for(cnf)
         v1 = plain.solve()
-        v2 = fancy.solve()
+        v2 = _solve_with_passes(fancy)
         assert v1 is v2
+        assert fancy.stats.inprocessings > 0
         if v2 is SatResult.SAT:
             model = fancy.model
             for clause in cnf.clauses:
@@ -75,81 +98,67 @@ class TestDifferential:
 
     @pytest.mark.parametrize("seed", (3, 5))
     def test_queko_depths_agree_across_modes(self, seed):
-        source = grid(2, 3)
-        target = linear(6)
-        inst = queko_circuit(source, depth=4, n_gates=12, seed=seed)
-        depths = {}
-        for mode in SIMPLIFY_MODES:
-            cfg = SynthesisConfig(
-                swap_duration=1, tub_ratio=1.0, simplify=mode
-            )
-            result = IterativeSynthesizer(
-                inst.circuit, target, cfg
-            ).optimize_depth()
-            depths[mode] = result.depth
-        assert len(set(depths.values())) == 1, depths
+        """The depth ladder with a pass before every query (one mode)
+        agrees bound for bound with the plain optimizer's optimum (the
+        other)."""
+        inst = _queko(seed)
+        cfg = SynthesisConfig(swap_duration=1, tub_ratio=1.0)
+        optimum = _proven_depth(inst.circuit, linear(6), cfg)
+        enc = LayoutEncoder(inst.circuit, linear(6), optimum, config=cfg)
+        enc.encode()
+        for bound in range(1, optimum + 1):
+            assert enc.ctx.sink.simplify()
+            verdict = enc.solve(assumptions=[enc.depth_guard(bound)])
+            expect = SatResult.SAT if bound == optimum else SatResult.UNSAT
+            assert verdict is expect, (bound, optimum)
+        assert enc.ctx.sink.stats.inprocessings == optimum
 
 
 class TestFreezeSet:
-    """Frozen variables must survive simplification untouched."""
+    """No pass removes a variable: every variable stays frozen."""
 
     def test_frozen_vars_stay_usable_as_assumptions(self):
         cnf = _random_3sat(40, 150, seed=11)
-        s = _solver_for(cnf, inprocessing=True)
-        # Everything is frozen by default: elimination may not remove any
-        # variable we could later assume.  Thaw nothing, eliminate, then
-        # drive the solver through assumption probes over every variable.
-        s.simplify(eliminate=True)
-        assert s.stats.eliminated_vars == 0
-        baseline = _solver_for(cnf, inprocessing=False)
+        s = _solver_for(cnf)
+        assert s.simplify()
+        baseline = _solver_for(cnf)
         for var in range(0, 40, 7):
             for sign in (False, True):
+                s.simplify()
                 got = s.solve(assumptions=[mk_lit(var, sign)])
                 want = baseline.solve(assumptions=[mk_lit(var, sign)])
                 assert got is want, (var, sign)
 
-    def test_thawed_vars_may_be_eliminated(self):
-        cnf = CNF()
-        cnf.new_vars(4)
-        # x3 is a pure connective: (x0 | x3) & (~x3 | x1) & (~x3 | x2)
-        cnf.add_clause([mk_lit(0), mk_lit(3)])
-        cnf.add_clause([mk_lit(3, True), mk_lit(1)])
-        cnf.add_clause([mk_lit(3, True), mk_lit(2)])
-        s = _solver_for(cnf, inprocessing=True)
-        s.thaw([3])
-        s.simplify(eliminate=True)
-        assert s.stats.eliminated_vars >= 1
-        assert s.solve() is SatResult.SAT
-        # The reconstructed model must cover the eliminated variable and
-        # satisfy the *original* clauses.
-        model = s.model
-        for clause in cnf.clauses:
-            assert any(model[l >> 1] ^ bool(l & 1) for l in clause)
-
     def test_extend_horizon_after_simplify_stays_sound(self):
-        """The synthesis pipeline's own freeze discipline, end to end.
+        """The synthesis pipeline's incremental discipline under passes.
 
-        ``simplify="full"`` thaws the adjacency aux selectors and runs
-        elimination at encode time; the optimizer then grows the horizon
-        mid-run (``extend_horizon``), which keeps referencing the shared
-        variable prefix and the activation guards.  If simplification ever
-        removed a frozen variable, the relax phase would go wrong — the
-        depths already checked equal across modes in TestDifferential;
-        here we additionally require the full-mode run to produce a valid
-        mapped circuit.
+        Passes run on the encoder's live solver before an UNSAT bound,
+        around ``extend_horizon`` (which keeps referencing the shared
+        variable prefix and the activation guards) and before the
+        optimal bound; the model found afterwards must validate.
         """
-        from repro.core.validator import validate_result
-
-        inst = queko_circuit(grid(2, 3), depth=4, n_gates=12, seed=3)
-        cfg = SynthesisConfig(swap_duration=1, tub_ratio=1.0, simplify="full")
-        result = IterativeSynthesizer(
-            inst.circuit, linear(6), cfg
-        ).optimize_depth()
-        validate_result(result)
+        inst = _queko(3)
+        device = linear(6)
+        cfg = SynthesisConfig(swap_duration=1, tub_ratio=1.0)
+        optimum = _proven_depth(inst.circuit, device, cfg)
+        enc = LayoutEncoder(inst.circuit, device, optimum - 1, config=cfg)
+        enc.encode()
+        solver = enc.ctx.sink
+        assert solver.simplify()
+        guard = enc.depth_guard(optimum - 1)
+        assert enc.solve(assumptions=[guard]) is SatResult.UNSAT
+        assert solver.simplify()
+        assert enc.extend_horizon(optimum + 2)
+        assert solver.simplify()
+        assert enc.solve(assumptions=[enc.depth_guard(optimum)]) is SatResult.SAT
+        initial, times, swaps = enc.extract()
+        validate_result(
+            SynthesisResult(inst.circuit, device, initial, times, swaps, 1)
+        )
 
 
 class TestProofIntegrity:
-    """Refutations with inprocessing deletions must still certify."""
+    """Refutations with pass deletions interleaved must still certify."""
 
     def _pigeonhole(self, n_pigeons: int, n_holes: int) -> CNF:
         cnf = CNF()
@@ -168,14 +177,14 @@ class TestProofIntegrity:
 
     def test_pigeonhole_proof_certifies_with_inprocessing(self):
         cnf = self._pigeonhole(6, 5)
-        s = _solver_for(cnf, inprocessing=True, proof_log=True)
-        assert s.solve() is SatResult.UNSAT
+        s = _solver_for(cnf, proof_log=True)
+        assert _solve_with_passes(s, budget=100) is SatResult.UNSAT
         assert s.stats.inprocessings > 0
         assert check_unsat_proof(cnf, s.proof)
 
     def test_explicit_vivify_deletions_certify(self):
         cnf = _random_3sat(30, 220, seed=2)  # over-constrained: UNSAT-ish
-        s = _solver_for(cnf, inprocessing=True, proof_log=True)
+        s = _solver_for(cnf, proof_log=True)
         verdict = s.solve(conflict_budget=50)
         if verdict is not SatResult.UNSAT:
             # Interleave explicit passes (vivify + probe + subsume emit
@@ -191,60 +200,46 @@ class TestProofIntegrity:
     @pytest.mark.parametrize("seed", range(5))
     def test_random_unsat_proofs_certify(self, seed):
         cnf = _random_3sat(25, 200, seed=seed)
-        s = _solver_for(cnf, inprocessing=True, proof_log=True)
-        if s.solve() is SatResult.UNSAT:
+        s = _solver_for(cnf, proof_log=True)
+        if _solve_with_passes(s) is SatResult.UNSAT:
             assert check_unsat_proof(cnf, s.proof)
 
-    def test_full_mode_synthesis_certifies_end_to_end(self):
-        """Regression: certify a swap-optimal run in ``simplify="full"``.
+    def test_swap_optimal_synthesis_certifies_end_to_end(self):
+        """Regression: certify a swap-optimal run under the default config.
 
-        This workload's last refutation interleaves variable elimination,
-        top-level cleaning and reduce-db eviction before the proof ends,
-        and it caught two deletion-ordering bugs the small instances
-        above never hit: evicting a ternary learnt that was a packed
-        reason on the trail, and deleting a root literal's reason clause
-        without logging the unit first.  Either one surfaces here as a
+        This workload's refutations interleave thousands of reduce-db
+        evictions with the proof, and it caught a deletion-ordering bug
+        the small instances above never hit: evicting a ternary learnt
+        that was a packed reason on the trail.  That surfaces here as a
         learnt rejected by the checker thousands of steps later.
         """
         qc = qaoa_circuit(6, seed=1)
-        cfg = SynthesisConfig(
-            swap_duration=1, time_budget=120, certify=True, simplify="full"
-        )
+        cfg = SynthesisConfig(swap_duration=1, time_budget=120, certify=True)
         synth = IterativeSynthesizer(qc, grid(2, 3), cfg)
         result = synth.optimize_swaps()
         assert result.optimal
         assert result.certificate is not None
         assert result.certificate.complete, result.certificate.summary()
+        assert result.solver_stats["removed_clauses"] > 0
 
 
 class TestConfig:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError, match="simplify mode"):
-            SynthesisConfig(simplify="bogus")
-
-    @pytest.mark.parametrize("mode", SIMPLIFY_MODES)
-    def test_accepts_valid_modes(self, mode):
-        assert SynthesisConfig(simplify=mode).simplify == mode
-
-    def test_off_mode_disables_solver_inprocessing(self):
-        from repro.core.encoder import LayoutEncoder
-        from repro.smt.context import SMTContext
-
+    def test_encoder_built_solvers_run_plain_cdcl(self):
+        """Encoding, extension, search and template restore run no pass."""
         inst = queko_circuit(grid(2, 3), depth=3, n_gates=6, seed=0)
-        for mode, expect in (("off", False), ("inprocess", True)):
-            ctx = SMTContext()  # default sink is a live Solver
-            enc = LayoutEncoder(
-                inst.circuit,
-                linear(6),
-                6,
-                config=SynthesisConfig(swap_duration=1, simplify=mode),
-                ctx=ctx,
-            )
-            enc.encode()
-            assert ctx.sink.inprocessing is expect
+        cfg = SynthesisConfig(
+            swap_duration=1, tub_ratio=1.0, template_store=TemplateStore()
+        )
+        for _run in ("encode", "template hit"):
+            synth = IterativeSynthesizer(inst.circuit, linear(6), cfg)
+            result = synth.optimize_depth()
+            assert result.solver_stats["inprocessings"] == 0
+            assert synth.encoder.ctx.sink.inprocessor is None
+        assert cfg.template_store.hits >= 1
 
     def test_stats_counters_exposed(self):
-        s = _solver_for(_random_3sat(50, 210, seed=4), inprocessing=True)
+        s = _solver_for(_random_3sat(50, 210, seed=4))
+        s.simplify()
         s.solve()
         snap = s.stats.snapshot()
         for key in (
@@ -255,7 +250,7 @@ class TestConfig:
             "failed_literals",
             "hyper_binaries",
             "equivalent_literals",
-            "eliminated_vars",
         ):
             assert key in snap
-        assert snap["inprocessings"] > 0
+        assert "eliminated_vars" not in snap
+        assert snap["inprocessings"] == 1

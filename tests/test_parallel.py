@@ -169,3 +169,54 @@ class TestTemplates:
         ).synthesize(qc, dev, objective="depth")
         assert par.optimal
         assert par.solver_stats["parallel"]["template_hits"] == 0
+
+
+class TestWorkerCommands:
+    """A command reaching a busy worker supersedes its probe at once."""
+
+    @pytest.mark.timeout(60)
+    def test_queued_stop_ends_busy_probe_at_first_restart(self):
+        import queue
+        import time
+
+        from repro.arch import grid, linear
+        from repro.core.parallel import _descent_worker
+        from repro.sat import Solver
+        from repro.workloads import queko_circuit
+
+        # Depth 6 is one below this instance's optimum on line-6; a fresh
+        # solver needs about 1,500 conflicts to refute it.
+        circuit = queko_circuit(grid(2, 3), depth=5, n_gates=15, seed=1).circuit
+        config = SynthesisConfig(swap_duration=1, tub_ratio=1.0, time_budget=60.0)
+        cmd_q, res_q = queue.Queue(), queue.Queue()
+        cmd_q.put(("probe", "depth", 6, None, None))
+        cmd_q.put(("stop",))
+        # A slice budget far beyond the probe's cost: only the queued stop
+        # can end it early.
+        _descent_worker(
+            0, "w", config, False, circuit, linear(6), None, None, None,
+            cmd_q, res_q, None, 60.0, time.monotonic() + 60.0,
+        )
+        messages = []
+        while not res_q.empty():
+            messages.append(res_q.get())
+        assert [m[0] for m in messages] == ["ready", "verdict"]
+        stopped = messages[-1]
+        assert stopped[2] == "stopped"
+        assert stopped[8]["conflicts"] < 2 * Solver.RESTART_BASE
+
+
+class TestProbeOrder:
+    def test_quantiles_first_then_the_rest_from_the_top(self):
+        from repro.core.parallel import _probe_order
+
+        assert _probe_order(1, 9, 2) == [9, 5, 8, 7, 6, 4, 3, 2, 1]
+        assert _probe_order(0, 3, 1) == [3, 2, 1, 0]
+
+    def test_narrow_interval_gives_each_worker_its_own_bound(self):
+        from repro.core.parallel import _probe_order
+
+        # Both quantiles of [1, 2] are 2; the second worker must not be
+        # left to whichever bound is free when it happens to ask.
+        assert _probe_order(1, 2, 2) == [2, 1]
+        assert _probe_order(3, 3, 2) == [3]

@@ -16,6 +16,18 @@ from repro.sat import (
     SatResult,
     Solver,
 )
+from repro.sat.kernel import native_available
+
+KERNELS = [
+    "python",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native_available(),
+            reason="compiled kernel not built (python -m repro.sat.kernel.build)",
+        ),
+    ),
+]
 
 
 def lit(v, sign=False):
@@ -199,6 +211,26 @@ class TestBudgets:
         assert solver.solve(conflict_budget=3) is SatResult.UNKNOWN
         assert solver.solve() is SatResult.UNSAT  # finish the job afterwards
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_interrupt_ends_solve_at_first_restart(self, kernel):
+        solver = Solver(kernel=kernel)
+        n_holes, n_pigeons = 6, 7  # far more conflicts than one restart
+        x = [[solver.new_var() for _ in range(n_holes)] for _ in range(n_pigeons)]
+        for p in range(n_pigeons):
+            solver.add_clause([lit(x[p][h]) for h in range(n_holes)])
+        for h in range(n_holes):
+            for p1 in range(n_pigeons):
+                for p2 in range(p1 + 1, n_pigeons):
+                    solver.add_clause([lit(x[p1][h], True), lit(x[p2][h], True)])
+        polls = []
+        solver.interrupt = lambda: polls.append(solver.stats.conflicts) or True
+        assert solver.solve() is SatResult.UNKNOWN
+        # Polled once, at the first restart, and the solve ended right there.
+        assert polls == [solver.stats.conflicts]
+        assert Solver.RESTART_BASE <= polls[0] < 2 * Solver.RESTART_BASE
+        solver.interrupt = lambda: False
+        assert solver.solve() is SatResult.UNSAT  # a false poll never stops it
+
 
 class TestLuby:
     def test_luby_prefix(self):
@@ -336,3 +368,61 @@ class TestClauseDatabase:
         d = solver.stats.as_dict()
         assert d["solve_calls"] == 1
         assert "conflicts" in d
+
+
+class TestLiteralRange:
+    """Literals outside ``[0, 2 * n_vars)`` raise ``ValueError`` up front.
+
+    Regression: signed DIMACS integers passed as literals used to index the
+    per-literal buffers from the end under the python kernel (a wrong
+    ``sat``, or an ``IndexError`` inside conflict analysis) and out of
+    bounds under the native kernel (a segfault before ``solve``).
+    """
+
+    @staticmethod
+    def _signed_clauses(seed):
+        rng = random.Random(seed)
+        return [
+            [rng.choice((-1, 1)) * rng.randint(1, 20) for _ in range(3)]
+            for _ in range(80)
+        ]
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_signed_int_clauses_raise(self, kernel, seed):
+        solver = Solver(kernel=kernel)
+        solver.new_vars(20)
+        with pytest.raises(ValueError, match=r"add_clause: literal -?\d+ out of range"):
+            for clause in self._signed_clauses(seed):
+                solver.add_clause(clause)
+        # The rejected clause landed nothing: the solver stays consistent.
+        solver.check_watch_invariants()
+        assert solver.solve() in (SatResult.SAT, SatResult.UNSAT)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_bulk_load_rejects_before_landing(self, kernel):
+        solver = Solver(kernel=kernel)
+        solver.new_vars(20)
+        clauses = self._signed_clauses(0)
+        flat = [lit for clause in clauses for lit in clause]
+        with pytest.raises(ValueError, match="add_clauses_bulk: literal"):
+            solver.add_clauses_bulk(flat, [3] * len(clauses))
+        assert solver.num_clauses == 0
+        with pytest.raises(ValueError, match="literal 40 out of range"):
+            solver.add_clauses_bulk([0, 2, 40], [3])
+        solver.begin_bulk()
+        solver.add_clause([1, -4])
+        with pytest.raises(ValueError, match="literal -4"):
+            solver.end_bulk()
+        assert solver.num_clauses == 0
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_assumptions_out_of_range_raise(self, kernel):
+        solver = Solver(kernel=kernel)
+        solver.new_vars(20)
+        solver.add_clause([lit(0), lit(1)])
+        for bad in (-1, 40, 41):
+            with pytest.raises(ValueError, match=f"assumptions=\\): literal {bad} "):
+                solver.solve(assumptions=[lit(2), bad])
+        assert solver.solve(assumptions=[lit(0, True)]) is SatResult.SAT
+        assert solver.stats.solve_calls == 1

@@ -135,7 +135,7 @@ class TestCanonicalFingerprint:
 
 class TestWireFormats:
     def test_config_roundtrip_through_json(self):
-        cfg = fast_config(certify=True, simplify="off")
+        cfg = fast_config(certify=True, encode_bulk="off")
         data = json.loads(json.dumps(cfg.to_dict()))
         assert SynthesisConfig.from_dict(data) == cfg
 

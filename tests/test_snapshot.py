@@ -15,8 +15,10 @@ The PR-10 acceptance points, tested differentially:
 
 State comparison reuses ``snapshot_solver`` itself: the blob *is* the
 complete observable state (arena, watches, trail, heap, counters), so two
-solvers are byte-identical iff their snapshots unpickle equal (wall-clock
+solvers are byte-identical iff their snapshots decode equal (wall-clock
 stats excepted — identical searches still spend different seconds).
+Truncated, corrupted and stale blobs are refused before any solver is
+built.
 """
 
 from __future__ import annotations
@@ -34,9 +36,13 @@ from repro.core.optimizer import IterativeSynthesizer
 from repro.core.templates import encode_config_slice, template_key
 from repro.sat import SatResult, Solver, mk_lit
 from repro.sat.kernel import native_available
+from repro.sat import snapshot as snapshot_mod
 from repro.sat.snapshot import (
+    SNAPSHOT_MAGIC,
+    SnapshotCorrupt,
     SnapshotUnsupported,
     TemplateStore,
+    read_snapshot,
     restore_solver,
     snapshot_solver,
 )
@@ -56,7 +62,7 @@ def _state(solver):
     """Complete observable solver state, wall-clock stats stripped."""
     from repro.sat.solver import SolverStats
 
-    state = pickle.loads(snapshot_solver(solver))
+    state = read_snapshot(snapshot_solver(solver))
     for name in SolverStats.WALL_CLOCK:
         state["stats"].pop(name, None)
     return state
@@ -224,6 +230,48 @@ class TestSnapshotRestore:
             restore_solver(blob)
 
 
+class TestSnapshotFrame:
+    """Damaged or stale bytes fail with a named error, before any Solver."""
+
+    @pytest.fixture
+    def blob(self, monkeypatch):
+        enc = queko_encoder()
+        data = snapshot_solver(enc.ctx.sink)
+
+        def no_solver(*_args, **_kwargs):
+            raise AssertionError("restore built a Solver from bad bytes")
+
+        # Anything past the frame check would construct a Solver first.
+        monkeypatch.setattr(snapshot_mod, "Solver", no_solver)
+        return data
+
+    def test_rejects_truncated_blob(self, blob):
+        assert blob.startswith(SNAPSHOT_MAGIC)
+        for cut in (len(blob) - 1, len(blob) // 2, 20, 6):
+            with pytest.raises(SnapshotCorrupt, match="truncated"):
+                restore_solver(blob[:cut])
+
+    def test_rejects_byte_flipped_blob(self, blob):
+        for pos in (len(blob) - 1, len(blob) // 2, 40):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 0x20
+            with pytest.raises(SnapshotCorrupt, match="crc32"):
+                restore_solver(bytes(flipped))
+
+    def test_rejects_format_1_blob(self, blob):
+        # Format 1 was the state dict pickled bare, format key inside.
+        state = read_snapshot(blob)
+        state["format"] = 1
+        with pytest.raises(SnapshotUnsupported, match="format-1"):
+            restore_solver(pickle.dumps(state))
+        # A frame stamped with another format number is refused by number.
+        stale = bytearray(blob)
+        stale[4:6] = (1).to_bytes(2, "little")
+        with pytest.raises(SnapshotUnsupported, match="format 1 != 2") as info:
+            restore_solver(bytes(stale))
+        assert not isinstance(info.value, SnapshotCorrupt)
+
+
 class TestTemplateStore:
     def test_hit_miss_counters_and_len(self):
         store = TemplateStore(max_entries=4)
@@ -322,7 +370,7 @@ class TestTemplateKey:
             base.replace(swap_duration=3)
         )
         assert encode_config_slice(base) != encode_config_slice(
-            base.replace(simplify="off")
+            base.replace(injectivity="channeling")
         )
 
     def test_device_and_mapping_in_key(self):
