@@ -1,9 +1,14 @@
-"""Optional compiled propagation kernel for :class:`repro.sat.Solver`.
+"""Optional compiled kernel for :class:`repro.sat.Solver` and
+:class:`repro.sat.proof.RupChecker`.
 
-The solver's two hot loops — unit propagation and first-UIP conflict
-analysis — exist in two byte-for-byte-equivalent implementations: the pure
-Python one in ``repro/sat/solver.py`` (always available) and a C mirror in
-``kernel.c`` compiled via cffi (``python -m repro.sat.kernel.build``).
+Three hot loops — the solver's unit propagation and first-UIP conflict
+analysis, and the proof checker's reverse-unit-propagation replay — exist
+in two equivalent implementations: the pure Python ones in
+``repro/sat/solver.py`` and ``repro/sat/proof.py`` (always available) and
+C mirrors in ``kernel.c`` compiled via cffi (``python -m
+repro.sat.kernel.build``).  The solver mirror is byte-for-byte (same
+trail, learnts and proof log); the checker mirror gives the same verdicts,
+failing steps and ``propagations`` counts.
 
 Backend selection (:func:`resolve_backend`):
 

@@ -1,4 +1,5 @@
-"""cffi build glue for the native propagation kernel.
+"""cffi build glue for the native kernel: the solver's propagation and
+conflict-analysis loops, and the RUP proof checker's replay loop.
 
 Build with::
 
@@ -7,8 +8,8 @@ Build with::
 which compiles ``kernel.c`` into the extension module
 ``repro.sat.kernel._native`` next to this file.  The build needs only a C
 compiler and the ``cffi`` package; nothing is downloaded.  If either is
-missing the solver silently runs on the pure-Python kernel (``kernel="auto"``)
-or raises a clear error (``kernel="native"``).
+missing the solver and the proof checker silently run on their pure-Python
+loops (``kernel="auto"``) or raise a clear error (``kernel="native"``).
 
 ``-ffp-contract=off`` is load-bearing: the kernel re-implements the VSIDS
 activity arithmetic and must produce bit-identical doubles to CPython, which
@@ -66,6 +67,18 @@ void k_analyze(kernel_t *k, int64_t confl, const int32_t *confl_lits,
                int32_t trail_size, int32_t cur_level, int32_t nconf,
                double var_inc, double cla_inc, int32_t *out_learnt,
                int64_t *out_ints, double *out_dbl);
+
+typedef struct rup rup_t;
+
+rup_t *rup_new(void);
+void rup_free(rup_t *r);
+void rup_grow(rup_t *r, int32_t n_vars);
+int32_t rup_add(rup_t *r, const int32_t *lits, int32_t n);
+int32_t rup_add_many(rup_t *r, const int32_t *flat, const int32_t *sizes,
+                     int32_t n);
+int32_t rup_delete(rup_t *r, const int32_t *lits, int32_t n);
+int64_t rup_conflict(rup_t *r, const int32_t *assumed, int32_t n,
+                     int32_t negate);
 """
 
 EXTRA_COMPILE_ARGS = ["-O2", "-ffp-contract=off", "-fno-fast-math"]

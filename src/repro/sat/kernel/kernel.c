@@ -1,15 +1,20 @@
-/* Native propagation/analysis kernel for repro.sat.Solver.
+/* Native kernel for repro.sat.Solver (propagation/analysis) and
+ * repro.sat.proof.RupChecker (RUP proof replay).
  *
  * This file is compiled by cffi (see build.py) into the extension module
  * ``repro.sat.kernel._native``.  It is a *mirror*, not a fork: every loop
- * below transcribes the corresponding pure-Python code in
- * ``repro/sat/solver.py`` statement for statement — same watcher visit
- * order, same swap-remove semantics, same circular new-watch search, same
- * first-UIP resolution, bumping, rescaling and minimisation order, and
- * the same IEEE-754 double operations in the same sequence (the build
- * passes -ffp-contract=off so no multiply-add fusion can perturb VSIDS
- * activities).  The differential tests in tests/test_arena.py hold the two
- * implementations to byte-identical trails, learnt clauses and proofs.
+ * below transcribes the corresponding pure-Python code statement for
+ * statement.  The k_* entry points mirror ``repro/sat/solver.py`` — same
+ * watcher visit order, same swap-remove semantics, same circular
+ * new-watch search, same first-UIP resolution, bumping, rescaling and
+ * minimisation order, and the same IEEE-754 double operations in the same
+ * sequence (the build passes -ffp-contract=off so no multiply-add fusion
+ * can perturb VSIDS activities).  The differential tests in
+ * tests/test_arena.py hold the two implementations to byte-identical
+ * trails, learnt clauses and proofs.  The rup_* entry points at the end of
+ * the file mirror ``RupChecker`` in ``repro/sat/proof.py``; tests/
+ * test_proof.py holds them to the same verdicts, failing steps and
+ * propagation counts.
  *
  * Ownership split with the Python side:
  *
@@ -898,4 +903,374 @@ void k_analyze(kernel_t *k, int64_t confl, const int32_t *confl_lits,
     out_ints[2] = lbd;
     out_dbl[0] = var_inc;
     out_dbl[1] = cla_inc;
+}
+
+/* -- RUP proof checker (mirrors repro.sat.proof.RupChecker) -------------- */
+
+/* A second, independent mirror: RupChecker's two-watched-literal replay
+ * transcribed statement for statement — same unit-seeding order, same
+ * watch visit order, same watched-literal swap, same lazy drop of dead
+ * watchers — so the two backends count identical ``propagations``.
+ *
+ * Clause c owns lits[start[c] .. start[c] + size[c]); size[c] < 0 once the
+ * clause is deleted (Python's ``clauses[cid] = None``).  The deletion index
+ * (Python's ``index`` dict of sorted literal tuples) is a chained hash
+ * table: each live clause hangs off bucket[hash & mask] through next[],
+ * most recently added first, so a delete finds "the most recently added
+ * live copy" as the first match on its chain.  The watched-literal swaps
+ * permute a clause's literals in place, so matching compares literal sets
+ * (stamped in mark[]) rather than sequences.
+ *
+ * Literal range: every entry point rejects a negative literal (returns -1,
+ * touching nothing) and grows the per-literal arrays to cover the largest
+ * literal it is given before indexing with it. */
+
+typedef struct rup rup_t;
+
+struct rup {
+    int32_t n_vars;
+    int64_t lit_cap;  /* allocated per-literal slots (>= 2 * n_vars) */
+    uint8_t *truth;   /* truth[lit] == 1 iff lit is currently true */
+    vec_t *watches;   /* literal -> ids of clauses watching it */
+    int32_t *mark;    /* literal -> stamp, for set comparison on delete */
+    int32_t stamp;
+    int32_t *trail;   /* lit_cap / 2 slots: each variable at most once */
+    int32_t *lits;
+    int64_t n_lits_used, lits_cap;
+    int64_t *start;
+    int32_t *size;
+    int32_t *next;
+    uint32_t *hash;
+    int32_t n_clauses, clauses_cap;
+    int32_t *buckets;
+    int32_t n_buckets, n_live;
+    vec_t units;      /* flat (clause id, literal) pairs */
+    int32_t has_empty;
+    int64_t propagations;
+    int32_t *key;     /* scratch: the sorted, deduplicated clause */
+    int32_t key_cap;
+};
+
+static void *grow_array(void *p, int64_t *cap, int64_t need, size_t elem) {
+    if (*cap >= need)
+        return p;
+    int64_t c = *cap ? *cap : 16;
+    while (c < need)
+        c *= 2;
+    p = realloc(p, (size_t)c * elem);
+    *cap = c;
+    return p;
+}
+
+rup_t *rup_new(void) {
+    return (rup_t *)calloc(1, sizeof(rup_t));
+}
+
+void rup_free(rup_t *r) {
+    if (!r)
+        return;
+    for (int64_t i = 0; i < r->lit_cap; i++)
+        free(r->watches[i].data);
+    free(r->truth);
+    free(r->watches);
+    free(r->mark);
+    free(r->trail);
+    free(r->lits);
+    free(r->start);
+    free(r->size);
+    free(r->next);
+    free(r->hash);
+    free(r->buckets);
+    free(r->units.data);
+    free(r->key);
+    free(r);
+}
+
+/* Mirror of RupChecker._grow. */
+void rup_grow(rup_t *r, int32_t n_vars) {
+    if (n_vars <= r->n_vars)
+        return;
+    int64_t need = 2 * (int64_t)n_vars;
+    if (need > r->lit_cap) {
+        int64_t cap = r->lit_cap ? r->lit_cap : 16;
+        while (cap < need)
+            cap *= 2;
+        size_t old = (size_t)r->lit_cap, add = (size_t)cap - old;
+        r->truth = (uint8_t *)realloc(r->truth, (size_t)cap);
+        r->watches = (vec_t *)realloc(r->watches, (size_t)cap * sizeof(vec_t));
+        r->mark = (int32_t *)realloc(r->mark, (size_t)cap * sizeof(int32_t));
+        r->trail = (int32_t *)realloc(r->trail, (size_t)(cap / 2) * sizeof(int32_t));
+        memset(r->truth + old, 0, add);
+        memset(r->watches + old, 0, add * sizeof(vec_t));
+        memset(r->mark + old, 0, add * sizeof(int32_t));
+        r->lit_cap = cap;
+    }
+    r->n_vars = n_vars;
+}
+
+/* Copy lits[0..n) into the key scratch sorted and deduplicated (Python's
+ * ``sorted(set(lits))``).  Returns the key length, or -1 if any literal is
+ * negative; *hi receives the largest literal. */
+static int32_t rup_make_key(rup_t *r, const int32_t *lits, int32_t n,
+                            int32_t *hi) {
+    int64_t cap = r->key_cap;
+    r->key = (int32_t *)grow_array(r->key, &cap, n, sizeof(int32_t));
+    r->key_cap = (int32_t)cap;
+    int32_t *s = r->key;
+    int32_t m = 0;
+    for (int32_t i = 0; i < n; i++) {
+        int32_t x = lits[i];
+        if (x < 0)
+            return -1;
+        int32_t j = m - 1;
+        while (j >= 0 && s[j] > x)
+            j--;
+        if (j >= 0 && s[j] == x)
+            continue; /* duplicate */
+        memmove(s + j + 2, s + j + 1, (size_t)(m - j - 1) * sizeof(int32_t));
+        s[j + 1] = x;
+        m++;
+    }
+    *hi = m ? s[m - 1] : -1;
+    return m;
+}
+
+static uint32_t rup_hash(const int32_t *s, int32_t m) {
+    uint64_t h = 0x9E3779B97F4A7C15ULL ^ (uint64_t)m;
+    for (int32_t i = 0; i < m; i++) {
+        h ^= (uint32_t)s[i];
+        h *= 0xBF58476D1CE4E5B9ULL;
+        h ^= h >> 31;
+    }
+    return (uint32_t)(h ^ (h >> 32));
+}
+
+/* Rebuild the chains over a doubled bucket array.  Walking clause ids in
+ * ascending order and prepending keeps each chain newest-first. */
+static void rup_rehash(rup_t *r) {
+    int32_t nb = r->n_buckets ? 2 * r->n_buckets : 64;
+    free(r->buckets);
+    r->buckets = (int32_t *)malloc((size_t)nb * sizeof(int32_t));
+    for (int32_t b = 0; b < nb; b++)
+        r->buckets[b] = -1;
+    r->n_buckets = nb;
+    for (int32_t c = 0; c < r->n_clauses; c++) {
+        if (r->size[c] < 0)
+            continue;
+        int32_t b = (int32_t)(r->hash[c] & (uint32_t)(nb - 1));
+        r->next[c] = r->buckets[b];
+        r->buckets[b] = c;
+    }
+}
+
+/* Mirror of RupChecker.add_clause.  Returns 0, or -1 on a negative literal
+ * (nothing is added). */
+int32_t rup_add(rup_t *r, const int32_t *lits, int32_t n) {
+    int32_t hi;
+    int32_t m = rup_make_key(r, lits, n, &hi);
+    if (m < 0)
+        return -1;
+    const int32_t *key = r->key;
+    if (m)
+        rup_grow(r, (hi >> 1) + 1);
+    int32_t cid = r->n_clauses;
+    if (cid == r->clauses_cap) {
+        int32_t cap = cid ? 2 * cid : 64;
+        r->start = (int64_t *)realloc(r->start, (size_t)cap * sizeof(int64_t));
+        r->size = (int32_t *)realloc(r->size, (size_t)cap * sizeof(int32_t));
+        r->next = (int32_t *)realloc(r->next, (size_t)cap * sizeof(int32_t));
+        r->hash = (uint32_t *)realloc(r->hash, (size_t)cap * sizeof(uint32_t));
+        r->clauses_cap = cap;
+    }
+    r->lits = (int32_t *)grow_array(r->lits, &r->lits_cap, r->n_lits_used + m,
+                                    sizeof(int32_t));
+    int64_t base = r->n_lits_used;
+    memcpy(r->lits + base, key, (size_t)m * sizeof(int32_t));
+    r->n_lits_used += m;
+    r->start[cid] = base;
+    r->size[cid] = m;
+    r->hash[cid] = rup_hash(key, m);
+    r->n_clauses = cid + 1;
+    r->n_live++;
+    if (r->n_live > r->n_buckets) {
+        rup_rehash(r); /* links cid along with every other live clause */
+    } else {
+        int32_t b = (int32_t)(r->hash[cid] & (uint32_t)(r->n_buckets - 1));
+        r->next[cid] = r->buckets[b];
+        r->buckets[b] = cid;
+    }
+    if (m == 0) {
+        r->has_empty = 1;
+    } else if (m == 1) {
+        vec_push2(&r->units, cid, key[0]);
+    } else {
+        vec_push(&r->watches[key[0]], cid);
+        vec_push(&r->watches[key[1]], cid);
+    }
+    return 0;
+}
+
+/* Add n clauses laid out flat (clause i has sizes[i] literals).  Returns
+ * the number added: fewer than n means clause [return value] has a
+ * negative literal and it and everything after it were not added. */
+int32_t rup_add_many(rup_t *r, const int32_t *flat, const int32_t *sizes,
+                     int32_t n) {
+    int64_t pos = 0;
+    for (int32_t i = 0; i < n; i++) {
+        if (rup_add(r, flat + pos, sizes[i]) < 0)
+            return i;
+        pos += sizes[i];
+    }
+    return n;
+}
+
+/* Mirror of RupChecker.delete_clause.  Returns 1 when a live copy was
+ * removed, 0 when none exists, -1 on a negative literal. */
+int32_t rup_delete(rup_t *r, const int32_t *lits, int32_t n) {
+    int32_t hi;
+    int32_t m = rup_make_key(r, lits, n, &hi);
+    if (m < 0)
+        return -1;
+    if (hi >= 2 * (int64_t)r->n_vars || !r->n_buckets)
+        return 0; /* no live clause mentions a literal past the range */
+    const int32_t *key = r->key;
+    uint32_t h = rup_hash(key, m);
+    if (r->stamp == INT32_MAX) {
+        memset(r->mark, 0, (size_t)r->lit_cap * sizeof(int32_t));
+        r->stamp = 0;
+    }
+    int32_t st = ++r->stamp;
+    for (int32_t i = 0; i < m; i++)
+        r->mark[key[i]] = st;
+    int32_t b = (int32_t)(h & (uint32_t)(r->n_buckets - 1));
+    int32_t prev = -1;
+    for (int32_t c = r->buckets[b]; c >= 0; prev = c, c = r->next[c]) {
+        if (r->hash[c] != h || r->size[c] != m)
+            continue;
+        const int32_t *cl = r->lits + r->start[c];
+        int32_t same = 1;
+        for (int32_t i = 0; i < m; i++) {
+            if (r->mark[cl[i]] != st) {
+                same = 0;
+                break;
+            }
+        }
+        if (!same)
+            continue;
+        if (prev < 0)
+            r->buckets[b] = r->next[c];
+        else
+            r->next[prev] = r->next[c];
+        r->size[c] = -1;
+        r->n_live--;
+        return 1;
+    }
+    return 0;
+}
+
+/* Mirror of RupChecker.propagate_conflict (negate = 0) and is_rup
+ * (negate = 1: assert the complement of each literal).  Returns -1 on a
+ * negative literal, else (propagations << 1) | conflict, where
+ * propagations counts this call's work (also added to the running total). */
+int64_t rup_conflict(rup_t *r, const int32_t *assumed, int32_t n,
+                     int32_t negate) {
+    int32_t hi = -1;
+    for (int32_t i = 0; i < n; i++) {
+        if (assumed[i] < 0)
+            return -1;
+        if (assumed[i] > hi)
+            hi = assumed[i];
+    }
+    if (n)
+        rup_grow(r, (hi >> 1) + 1);
+    if (r->has_empty)
+        return 1;
+    uint8_t *truth = r->truth;
+    int32_t *trail = r->trail;
+    const int64_t *start = r->start;
+    const int32_t *size = r->size;
+    int32_t tlen = 0;
+    int32_t conflict = 0;
+    const int32_t *ud = r->units.data;
+    for (int32_t u = 0; u < r->units.len; u += 2) {
+        if (size[ud[u]] < 0)
+            continue;
+        int32_t lit = ud[u + 1];
+        if (truth[lit])
+            continue;
+        if (truth[lit ^ 1]) {
+            conflict = 1;
+            break;
+        }
+        truth[lit] = 1;
+        trail[tlen++] = lit;
+    }
+    if (!conflict) {
+        for (int32_t a = 0; a < n; a++) {
+            int32_t lit = assumed[a] ^ (negate ? 1 : 0);
+            if (truth[lit])
+                continue;
+            if (truth[lit ^ 1]) {
+                conflict = 1;
+                break;
+            }
+            truth[lit] = 1;
+            trail[tlen++] = lit;
+        }
+    }
+    int64_t props = 0;
+    int32_t head = 0;
+    while (!conflict && head < tlen) {
+        int32_t falsified = trail[head] ^ 1;
+        head++;
+        props++;
+        vec_t *ws = &r->watches[falsified];
+        int32_t *wd = ws->data;
+        int32_t nw = ws->len;
+        int32_t i = 0, j = 0;
+        while (i < nw) {
+            int32_t cid = wd[i++];
+            int32_t sz = size[cid];
+            if (sz < 0)
+                continue; /* lazily drop deleted clause's watcher */
+            int32_t *cl = r->lits + start[cid];
+            if (cl[0] == falsified) {
+                cl[0] = cl[1];
+                cl[1] = falsified;
+            }
+            int32_t other = cl[0];
+            if (truth[other]) {
+                wd[j++] = cid;
+                continue;
+            }
+            int32_t k;
+            for (k = 2; k < sz; k++) {
+                int32_t lit = cl[k];
+                if (!truth[lit ^ 1]) {
+                    cl[1] = lit;
+                    cl[k] = falsified;
+                    /* lit is not false, so lit != falsified: this push
+                     * never reallocs the list being scanned. */
+                    vec_push(&r->watches[lit], cid);
+                    break;
+                }
+            }
+            if (k == sz) {
+                wd[j++] = cid;
+                if (truth[other ^ 1]) {
+                    conflict = 1;
+                    break;
+                }
+                truth[other] = 1;
+                trail[tlen++] = other;
+            }
+        }
+        while (i < nw) /* conflict broke the scan: keep remaining watchers */
+            wd[j++] = wd[i++];
+        ws->len = j;
+    }
+    for (int32_t t = 0; t < tlen; t++)
+        truth[trail[t]] = 0;
+    r->propagations += props;
+    return (props << 1) | conflict;
 }

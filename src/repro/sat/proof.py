@@ -32,9 +32,13 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from array import array
+from itertools import chain
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 from .formula import CNF
+from .kernel import kernel_handles, resolve_backend
+from .solver import _addr
 from .types import neg
 
 ProofStep = Tuple[str, Sequence[int]]
@@ -153,8 +157,28 @@ class RupChecker:
 
     Deletion is resolved through ``self.index``, a multiset mapping the
     sorted literal tuple to the live clause ids carrying it, so ``("d",
-    lits)`` steps cost a dict lookup regardless of database size.
+    lits)`` steps cost a dict lookup regardless of database size; a delete
+    removes the most recently added live copy.
+
+    Literals must be non-negative: a method given a negative literal raises
+    :class:`ProofError` and changes nothing.  A literal past the current
+    range grows the checker first, as a fresh variable.
+
+    ``RupChecker(n_vars)`` picks its backend with
+    :func:`repro.sat.kernel.resolve_backend`, the rule ``Solver(kernel=
+    "auto")`` uses, and returns a :class:`NativeRupChecker` when that
+    resolves to ``"native"``; ``kernel`` names the backend picked.  This
+    class is the pure-Python backend: the fallback when the extension is
+    not built, and the reference the compiled mirror is tested against.
     """
+
+    kernel = "python"
+
+    def __new__(cls, n_vars: int) -> "RupChecker":
+        impl: Type[RupChecker] = cls
+        if cls is RupChecker and resolve_backend() == "native":
+            impl = NativeRupChecker
+        return object.__new__(impl)
 
     def __init__(self, n_vars: int) -> None:
         self.n_vars = 0
@@ -181,12 +205,22 @@ class RupChecker:
             self.watches.append([])
         self.n_vars = n_vars
 
+    def _reserve(self, lits: Sequence[int]) -> None:
+        """Reject a negative literal; grow to cover the largest one."""
+        if lits:
+            low = min(lits)
+            if low < 0:
+                raise ProofError(f"negative literal {low}")
+            self._grow((max(lits) >> 1) + 1)
+
     # -- database maintenance ------------------------------------------------
 
     def add_clause(self, lits: Sequence[int]) -> None:
         """Install a clause (duplicates removed; assumed already RUP-checked)."""
         key = tuple(sorted(set(lits)))
         if key:
+            if key[0] < 0:
+                raise ProofError(f"negative literal {key[0]}")
             self._grow((key[-1] >> 1) + 1)
         cid = len(self.clauses)
         clause = list(key)
@@ -200,6 +234,12 @@ class RupChecker:
             self.watches[clause[0]].append(cid)
             self.watches[clause[1]].append(cid)
 
+    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
+        """Install clauses in order, as one :meth:`add_clause` each.  On a
+        negative literal the clauses before the offending one stay added."""
+        for clause in clauses:
+            self.add_clause(clause)
+
     def delete_clause(self, lits: Sequence[int]) -> bool:
         """Remove one instance of the clause; False if no live copy exists.
 
@@ -207,6 +247,8 @@ class RupChecker:
         time propagation walks past them.
         """
         key = tuple(sorted(set(lits)))
+        if key and key[0] < 0:
+            raise ProofError(f"negative literal {key[0]}")
         ids = self.index.get(key)
         if not ids:
             return False
@@ -224,6 +266,17 @@ class RupChecker:
         The assignment is fully undone before returning, so the checker can
         serve any number of queries.
         """
+        lits = list(assumed)
+        self._reserve(lits)
+        return self._propagate(lits)
+
+    def is_rup(self, candidate: Sequence[int]) -> bool:
+        """Is ``candidate`` derivable by reverse unit propagation?"""
+        self._reserve(candidate)
+        return self._propagate([neg(l) for l in candidate])
+
+    def _propagate(self, assumed: List[int]) -> bool:
+        """:meth:`propagate_conflict` on literals already in range."""
         if self.has_empty:
             return True
         truth = self.truth
@@ -299,9 +352,74 @@ class RupChecker:
             truth[lit] = 0
         return conflict
 
+
+def _c_lits(lits: Iterable[int]) -> Sequence[int]:
+    """``lits`` as a list or tuple, the sequences cffi converts to an
+    ``int32_t *`` argument."""
+    return lits if isinstance(lits, (list, tuple)) else list(lits)
+
+
+class NativeRupChecker(RupChecker):
+    """:class:`RupChecker` on the compiled kernel (the ``rup_*`` entry
+    points of ``kernel.c``).
+
+    The clause store, watch lists and deletion index live in C, and each
+    method is one kernel call; :meth:`add_clauses` loads a whole formula
+    through one call over a flat ``array('i')``.  The C loop transcribes
+    :meth:`RupChecker._propagate` statement for statement, so verdicts and
+    ``propagations`` match the Python backend exactly.  The pure-Python
+    state of the base class is never built.
+    """
+
+    kernel = "native"
+
+    def __init__(self, n_vars: int) -> None:
+        ffi, lib = kernel_handles()
+        self._ffi = ffi
+        self._lib = lib
+        self._rup = ffi.gc(lib.rup_new(), lib.rup_free)
+        self.propagations = 0
+        lib.rup_grow(self._rup, n_vars)
+
+    def add_clause(self, lits: Sequence[int]) -> None:
+        lits = _c_lits(lits)
+        if self._lib.rup_add(self._rup, lits, len(lits)) < 0:
+            raise ProofError(f"negative literal {min(lits)}")
+
+    def add_clauses(self, clauses: Sequence[Sequence[int]]) -> None:
+        flat = array("i", chain.from_iterable(clauses))
+        sizes = array("i", map(len, clauses))
+        cast = self._ffi.cast
+        added = self._lib.rup_add_many(
+            self._rup,
+            cast("const int32_t *", _addr(flat)),
+            cast("const int32_t *", _addr(sizes)),
+            len(sizes),
+        )
+        if added < len(sizes):
+            raise ProofError(f"negative literal {min(clauses[added])}")
+
+    def delete_clause(self, lits: Sequence[int]) -> bool:
+        lits = _c_lits(lits)
+        removed = self._lib.rup_delete(self._rup, lits, len(lits))
+        if removed < 0:
+            raise ProofError(f"negative literal {min(lits)}")
+        return bool(removed)
+
+    def propagate_conflict(self, assumed: Iterable[int]) -> bool:
+        return self._query(assumed, 0)
+
     def is_rup(self, candidate: Sequence[int]) -> bool:
-        """Is ``candidate`` derivable by reverse unit propagation?"""
-        return self.propagate_conflict([neg(l) for l in candidate])
+        return self._query(candidate, 1)
+
+    def _query(self, assumed: Iterable[int], negate: int) -> bool:
+        lits = _c_lits(assumed)
+        # rup_conflict returns (propagations << 1) | conflict, or -1.
+        out = self._lib.rup_conflict(self._rup, lits, len(lits), negate)
+        if out < 0:
+            raise ProofError(f"negative literal {min(lits)}")
+        self.propagations += out >> 1
+        return bool(out & 1)
 
 
 def check_unsat_proof(
@@ -326,16 +444,17 @@ def check_unsat_proof(
     refute them for the proof to be accepted.
 
     Returns ``True`` if the refutation is validly derived.  Raises
-    :class:`ProofError` on an invalid step; returns ``False`` if the proof
-    ends without refuting the formula (or the assumptions).
+    :class:`ProofError` on an invalid step, and on a negative literal
+    anywhere (the message names the formula, the step or the assumptions);
+    returns ``False`` if the proof ends without refuting the formula (or
+    the assumptions).  A literal past ``cnf.n_vars`` is a fresh variable.
+    The replay runs on :class:`RupChecker`'s backend (the compiled kernel
+    when built, else pure Python); both give identical results.
 
     When ``stats`` is a dict it is filled with replay counters: ``steps``,
     ``additions``, ``deletions``, ``ignored_deletions`` and
     ``propagations``.
     """
-    checker = RupChecker(cnf.n_vars)
-    for clause in cnf.clauses:
-        checker.add_clause(clause)
     counters = {
         "steps": len(proof),
         "additions": 0,
@@ -346,7 +465,13 @@ def check_unsat_proof(
     if stats is not None:
         stats.update(counters)  # visible even when a step raises
         counters = stats
+    checker = RupChecker(cnf.n_vars)
+    try:
+        checker.add_clauses(cnf.clauses)
+    except ProofError as exc:
+        raise ProofError(f"formula: {exc}") from None
     verified = False
+    step_idx = -1  # -1 while the terminal assumption check runs
     try:
         for step_idx, (op, raw) in enumerate(proof):
             lits = list(raw)
@@ -354,25 +479,27 @@ def check_unsat_proof(
                 counters["deletions"] += 1
                 if not checker.delete_clause(lits):
                     if strict_deletions:
-                        raise ProofError(
-                            f"step {step_idx}: deleting absent clause {lits}"
-                        )
+                        raise ProofError(f"deleting absent clause {lits}")
                     counters["ignored_deletions"] += 1
                 continue
             if op != "a":
-                raise ProofError(f"step {step_idx}: unknown op {op!r}")
+                raise ProofError(f"unknown op {op!r}")
             counters["additions"] += 1
             if not checker.is_rup(lits):
-                raise ProofError(f"step {step_idx}: clause {lits} is not RUP")
+                raise ProofError(f"clause {lits} is not RUP")
             if not lits:
                 verified = True
                 break
             checker.add_clause(lits)
         else:
+            step_idx = -1
             if assumptions:
                 # Terminal check for assumption-conditioned UNSAT: the
                 # assumptions themselves must propagate to a conflict.
-                verified = checker.propagate_conflict(list(assumptions))
+                verified = checker.propagate_conflict(assumptions)
+    except ProofError as exc:
+        where = f"step {step_idx}" if step_idx >= 0 else "assumptions"
+        raise ProofError(f"{where}: {exc}") from None
     finally:
         counters["propagations"] = checker.propagations
     return verified

@@ -15,7 +15,14 @@ from repro.circuit import QuantumCircuit
 from repro.core import LayoutEncoder, SynthesisConfig
 from repro.encodings.cardinality import IncrementalCounter
 from repro.sat import CNF, SatResult, Solver, mk_lit, neg
+from repro.sat.kernel import native_available
 from repro.smt import SMTContext, cnf_context
+
+
+requires_native = pytest.mark.skipif(
+    not native_available(),
+    reason="compiled kernel not built (python -m repro.sat.kernel.build)",
+)
 
 
 def triangle():
@@ -224,7 +231,9 @@ class TestMirror:
         assert mirror.ctx.n_vars == enc.ctx.n_vars
         assert mirror._depth_guards == enc._depth_guards
 
-    def test_check_records_certifies_live_unsat(self):
+    @staticmethod
+    def live_unsat_record():
+        """A live proof-logged UNSAT at depth bound 3 and its record."""
         solver = Solver(proof_log=True)
         enc = make_encoder(ctx=SMTContext(sink=solver))
         enc.encode()
@@ -239,9 +248,43 @@ class TestMirror:
             assumptions=assumptions,
             proof_len=len(solver.proof),
         )
+        return solver, record
+
+    def test_check_records_certifies_live_unsat(self):
+        _, record = self.live_unsat_record()
         (cert,) = check_records([record])
         assert cert.checked, cert.reason
         assert cert.phase == "depth" and cert.depth_bound == 3
+
+    @pytest.mark.parametrize(
+        "backend", ["python", pytest.param("native", marks=requires_native)]
+    )
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda lits, n_vars: lits[1:], id="literal-dropped"),
+            # Still RUP if the sign is ignored: a checker that aliases the
+            # negative index accepts it and fails 34 steps later instead.
+            pytest.param(
+                lambda lits, n_vars: lits + (~lits[0],), id="negative-literal-added"
+            ),
+            pytest.param(
+                lambda lits, n_vars: (2 * n_vars + (lits[0] & 1),) + lits[1:],
+                id="literal-moved-past-n_vars",
+            ),
+        ],
+    )
+    def test_corrupt_live_proof_is_incomplete(self, monkeypatch, backend, corrupt):
+        """A corrupted lemma yields an unchecked certificate whose reason
+        names that step: no crash, no pass, no failure surfacing later."""
+        monkeypatch.setenv("REPRO_KERNEL", backend)
+        solver, record = self.live_unsat_record()
+        idx = next(i for i, (op, lits) in enumerate(solver.proof) if op == "a" and lits)
+        op, lits = solver.proof[idx]
+        solver.proof[idx] = (op, corrupt(lits, solver.n_vars))
+        (cert,) = check_records([record])
+        assert not cert.checked
+        assert cert.reason.startswith(f"step {idx}: "), cert.reason
 
     def test_check_records_survives_later_extension(self):
         """A record captured before extend_horizon still certifies: the

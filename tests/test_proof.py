@@ -1,13 +1,16 @@
 """Tests for UNSAT proof logging and the RUP checker."""
 
 import random
+from typing import NamedTuple, Union
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat import brute_force_solve, CNF, mk_lit, SatResult, Solver
+from repro.sat.kernel import native_available
 from repro.sat.proof import (
+    NativeRupChecker,
     ProofError,
     RupChecker,
     check_unsat_proof,
@@ -15,6 +18,52 @@ from repro.sat.proof import (
     is_rup,
     proof_stats,
 )
+
+requires_native = pytest.mark.skipif(
+    not native_available(),
+    reason="compiled kernel not built (python -m repro.sat.kernel.build)",
+)
+
+#: Checker backends, the compiled one skipped when the extension is not built.
+BACKENDS = ["python", pytest.param("native", marks=requires_native)]
+BUILT_BACKENDS = ["python", "native"] if native_available() else ["python"]
+
+
+class Replay(NamedTuple):
+    """One check_unsat_proof run: the verdict, or the ProofError message
+    (which names the failing step), plus the replay counters."""
+
+    verdict: Union[bool, str]
+    propagations: int
+    ignored_deletions: int
+
+
+def checker_on(backend, n_vars):
+    """A RupChecker built under ``REPRO_KERNEL=backend``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_KERNEL", backend)
+        checker = RupChecker(n_vars)
+    assert checker.kernel == backend
+    return checker
+
+
+def replay_on(backend, cnf, proof, **kwargs):
+    stats = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_KERNEL", backend)
+        try:
+            verdict = check_unsat_proof(cnf, proof, stats=stats, **kwargs)
+        except ProofError as exc:
+            verdict = str(exc)
+    return Replay(verdict, stats["propagations"], stats["ignored_deletions"])
+
+
+def replay(cnf, proof, **kwargs):
+    """check_unsat_proof on every built backend.  They must agree on the
+    verdict or failing step, the propagations and the ignored deletions."""
+    runs = {b: replay_on(b, cnf, proof, **kwargs) for b in BUILT_BACKENDS}
+    assert len(set(runs.values())) == 1, runs
+    return runs["python"]
 
 
 def lit(v, sign=False):
@@ -132,14 +181,15 @@ class TestSolverProofs:
 
 
 class TestFastChecker:
-    """The watched-literal checker must agree with the naive reference."""
+    """The watched-literal checker must agree with the naive reference, and
+    its compiled mirror with the pure-Python loop, step for step."""
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_differential_vs_slow_on_pigeonhole(self, n):
         cnf = pigeonhole_cnf(n + 1, n)
         status, proof = solve_with_proof(cnf)
         assert status is SatResult.UNSAT
-        assert check_unsat_proof(cnf, proof) == check_unsat_proof_slow(cnf, proof)
+        assert replay(cnf, proof).verdict == check_unsat_proof_slow(cnf, proof)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_differential_vs_slow_on_random_unsat(self, seed):
@@ -152,7 +202,7 @@ class TestFastChecker:
             cnf.add_clause([mk_lit(v, rng.random() < 0.5) for v in vs])
         status, proof = solve_with_proof(cnf)
         if status is SatResult.UNSAT:
-            assert check_unsat_proof(cnf, proof)
+            assert replay(cnf, proof).verdict is True
             assert check_unsat_proof_slow(cnf, proof)
 
     def test_stats_are_filled(self):
@@ -164,6 +214,7 @@ class TestFastChecker:
         assert stats["additions"] >= 1
         assert stats["propagations"] >= 1
         assert stats["ignored_deletions"] >= 0
+        assert stats["propagations"] == replay(cnf, proof).propagations
 
     def test_ignored_deletions_counted_in_lenient_mode(self):
         cnf = CNF()
@@ -172,19 +223,20 @@ class TestFastChecker:
         cnf.add_clause([lit(a, True), lit(b)])
         cnf.add_clause([lit(b, True)])
         proof = [("d", (lit(a), lit(b))), ("a", ())]  # deletes a phantom
-        stats = {}
-        assert check_unsat_proof(cnf, proof, stats=stats)
-        assert stats["ignored_deletions"] == 1
+        got = replay(cnf, proof)
+        assert got.verdict is True
+        assert got.ignored_deletions == 1
 
     def test_duplicate_clause_deletion_removes_one_copy(self):
-        checker = RupChecker(2)
-        checker.add_clause([lit(0), lit(1)])
-        checker.add_clause([lit(0), lit(1)])  # identical copy
-        assert checker.delete_clause([lit(0), lit(1)])
-        # one copy must survive: unit-propagating -0 still forces 1
-        assert checker.is_rup([lit(0), lit(1)])
-        assert checker.delete_clause([lit(0), lit(1)])
-        assert not checker.delete_clause([lit(0), lit(1)])  # none left
+        for backend in BUILT_BACKENDS:
+            checker = checker_on(backend, 2)
+            checker.add_clause([lit(0), lit(1)])
+            checker.add_clause([lit(0), lit(1)])  # identical copy
+            assert checker.delete_clause([lit(0), lit(1)])
+            # one copy must survive: unit-propagating -0 still forces 1
+            assert checker.is_rup([lit(0), lit(1)])
+            assert checker.delete_clause([lit(0), lit(1)])
+            assert not checker.delete_clause([lit(0), lit(1)])  # none left
 
     def test_assumption_conditioned_unsat_certifies(self):
         """A failed-assumptions UNSAT (no empty clause on the log) checks
@@ -197,10 +249,10 @@ class TestFastChecker:
         solver = Solver(proof_log=True)
         cnf.to_solver(solver)
         assert solver.solve(assumptions=[lit(a)]) is SatResult.UNSAT
-        assert check_unsat_proof(cnf, solver.proof, assumptions=[lit(a)])
+        assert replay(cnf, solver.proof, assumptions=[lit(a)]).verdict is True
         # without the assumption the formula is satisfiable: the same log
         # must NOT certify unconditional unsatisfiability
-        assert check_unsat_proof(cnf, solver.proof) is False
+        assert replay(cnf, solver.proof).verdict is False
 
     def test_incremental_assumption_proofs_check_per_bound(self):
         """Every UNSAT verdict of one incremental run is certifiable from
@@ -221,11 +273,156 @@ class TestFastChecker:
         )
         prefix = len(solver.proof)
         assert solver.solve(assumptions=[lit(guards[1])]) is SatResult.SAT
-        assert check_unsat_proof(
+        got = replay(
             cnf,
             solver.proof[:prefix],
             assumptions=[lit(guards[0]), lit(guards[1])],
         )
+        assert got.verdict is True
+
+
+class TestLiteralRange:
+    """Negative literals are rejected by name; literals past the checker's
+    range are fresh variables — never an alias, never an IndexError."""
+
+    def test_negative_literal_cannot_refute_a_satisfiable_formula(self):
+        cnf = CNF()
+        cnf.new_vars(4)
+        cnf.add_clause([4])
+        cnf.add_clause([7])
+        solver = Solver()
+        cnf.to_solver(solver)
+        assert solver.solve() is SatResult.SAT
+        proof = [("a", (-4,)), ("a", (4, 8)), ("a", ())]
+        assert replay(cnf, proof).verdict == "step 0: negative literal -4"
+        with pytest.raises(ProofError, match="step 0"):
+            check_unsat_proof_slow(cnf, proof)
+
+    def test_lemma_past_the_range_is_checked_not_crashed(self):
+        cnf = CNF()
+        cnf.new_vars(2)
+        got = replay(cnf, [("a", (9,))])
+        assert got.verdict == "step 0: clause [9] is not RUP"
+
+    def test_assumption_past_the_range_is_a_fresh_variable(self):
+        cnf = CNF()
+        cnf.new_vars(2)
+        assert replay(cnf, [], assumptions=(7,)).verdict is False
+        assert check_unsat_proof_slow(cnf, [], assumptions=(7,)) is False
+
+    def test_negative_assumption_is_named(self):
+        cnf = CNF()
+        cnf.new_vars(2)
+        got = replay(cnf, [], assumptions=(1, -3))
+        assert got.verdict == "assumptions: negative literal -3"
+
+    def test_negative_formula_literal_is_named(self):
+        cnf = CNF()
+        cnf.new_vars(2)
+        cnf.add_clause([0, -2])
+        got = replay(cnf, [("a", ())])
+        assert got.verdict == "formula: negative literal -2"
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_checker_methods_reject_negative_literals_and_stay_usable(self, backend):
+        checker = checker_on(backend, 2)
+        checker.add_clause([lit(0)])
+        checker.add_clause([lit(0, True), lit(1)])
+        for method in (
+            checker.add_clause,
+            checker.delete_clause,
+            checker.is_rup,
+            checker.propagate_conflict,
+        ):
+            with pytest.raises(ProofError, match="negative literal -5"):
+                method([lit(1), -5])
+        assert checker.is_rup([lit(1)])
+        assert checker.delete_clause([lit(1), lit(0, True)])
+        assert not checker.is_rup([lit(1)])
+        assert not checker.is_rup([lit(9)])  # grows to variable 4
+        assert checker.propagate_conflict([lit(4, True), lit(0, True)])
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_backend_follows_the_kernel_rule(self, backend):
+        checker = checker_on(backend, 0)
+        assert isinstance(checker, RupChecker)
+        assert isinstance(checker, NativeRupChecker) == (backend == "native")
+
+
+def certified_run_records():
+    """Refutation records (with their CNF mirrors) of a small certified
+    OLSQ2 run: a QUEKO depth-4 instance on a 6-qubit line."""
+    import repro.core.optimizer as optimizer
+    from repro.analysis.certify import mirror_encoder
+    from repro.arch import grid, linear
+    from repro.core import OLSQ2, SynthesisConfig
+    from repro.workloads.queko import queko_circuit
+
+    records = []
+    check_records = optimizer.check_records
+
+    def capture(batch):
+        records.extend(batch)
+        return check_records(batch)
+
+    circuit = queko_circuit(grid(2, 3), 4, 12, seed=2).circuit
+    config = SynthesisConfig(swap_duration=1, tub_ratio=1.0, certify=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "check_records", capture)
+        result = OLSQ2(config).synthesize(circuit, linear(6))
+    assert result.certificate.complete and records
+    return [
+        (
+            mirror_encoder(r.encoder).ctx.sink,
+            r.encoder.ctx.sink.proof[: r.proof_len],
+            r.assumptions,
+        )
+        for r in records
+    ]
+
+
+@pytest.fixture(scope="module")
+def certified_records():
+    return certified_run_records()
+
+
+def mutate(rng, cnf, proof, kind):
+    """One seeded corruption of a proof log at a random lemma."""
+    proof = list(proof)
+    i = rng.choice([i for i, (op, lits) in enumerate(proof) if op == "a" and lits])
+    lits = list(proof[i][1])
+    if kind == "dropped-literal":
+        del lits[rng.randrange(len(lits))]
+        proof[i] = ("a", tuple(lits))
+    elif kind == "dropped-lemma":
+        del proof[i]
+    else:  # deleted-formula-clause: one the lemma's RUP check may rely on
+        shared = set(lits)
+        clause = rng.choice([c for c in cnf.clauses if not shared.isdisjoint(c)])
+        proof.insert(i, ("d", tuple(clause)))
+    return proof
+
+
+class TestCertifiedRunProofs:
+    """Both backends on real refutations of the optimizer's bounds."""
+
+    def test_records_certify_identically(self, certified_records):
+        for cnf, proof, assumptions in certified_records:
+            got = replay(cnf, proof, assumptions=assumptions)
+            assert got.verdict is True
+
+    @pytest.mark.parametrize(
+        "kind", ["dropped-literal", "dropped-lemma", "deleted-formula-clause"]
+    )
+    def test_mutations_fail_at_the_same_step(self, certified_records, kind):
+        rng = random.Random(f"{kind}-7")
+        rejected = 0
+        for cnf, proof, assumptions in certified_records:
+            for _ in range(3):
+                bad = mutate(rng, cnf, proof, kind)
+                got = replay(cnf, bad, assumptions=assumptions)
+                rejected += got.verdict is not True
+        assert rejected, f"no {kind} mutation was rejected"
 
 
 class TestOptimizationProofs:
